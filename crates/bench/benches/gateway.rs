@@ -1,24 +1,23 @@
 //! Gateway serving throughput — monolithic versus sync-cluster versus
-//! async-cluster admission, plus pooled versus scoped probe executors.
+//! gateway-wave cluster admission.
 //!
 //! The `kairos-gateway` front-end accepts admissions into bounded lanes
-//! and drives the service from its deterministic executor, so a storm
+//! and forwards them from its ticket-ordered scheduler, so a storm
 //! streamed through it flushes in *waves*: each enqueue-then-drive pass
 //! coalesces its contiguous single admissions into one batched
 //! submission, and the cluster underneath places that wave with one
 //! parallel per-shard probe fan-out — one fan-out coordination per wave
 //! instead of one per request. That is the serving claim this bench
-//! pins: the async gateway path over a cluster must admit at least as
-//! many applications per second as driving the same cluster
-//! synchronously request by request (CI executes the assertion as a
-//! smoke check; multi-core hosts must pass it strictly, a single-core
-//! host gets a scheduling-noise tolerance).
+//! pins, twice:
 //!
-//! The second table times the persistent probe worker pool
-//! ([`ProbeExecutor::Pooled`]) against the legacy per-wave
-//! `thread::scope` fan-out ([`ProbeExecutor::Scoped`]) on the same
-//! storm: the pool pays thread spawns once at construction instead of
-//! per wave, so it must never be slower.
+//! * **Work** (deterministic): the coalesced path makes one
+//!   `kairos.cluster.probe.waves` fan-out per wave, the synchronous path
+//!   one per request.
+//! * **Wall clock**: over paired trials that alternate which path runs
+//!   first, the median gateway-wave rate must be at least the median
+//!   synchronous rate (multi-core hosts must pass it strictly, a
+//!   single-core host gets a scheduling-noise tolerance). The IQR of
+//!   every path is printed alongside.
 
 use std::time::Instant;
 
@@ -26,10 +25,17 @@ use kairos_admitd::PriorityClass;
 use kairos_app::Application;
 use kairos_appgen::{DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix, WorkloadSampler};
 use kairos_bench::print_table;
-use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded, ProbeExecutor};
+use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::topology;
 use kairos_svc::{Request, ResourceService, ServiceBuilder};
+use kairos_telemetry::{Telemetry, TelemetryConfig};
+
+const APPS: usize = 48;
+const SHARDS: usize = 3;
+const WAVE: usize = 8;
+/// Paired trials; even and odd trials swap which gated path runs first.
+const TRIALS: usize = 12;
 
 /// Mostly small applications with a medium tail — the storm fits tens of
 /// admissions onto CRISP, so every path does real placement work.
@@ -47,11 +53,11 @@ fn storm(n: usize, seed: u64) -> Vec<Application> {
     (0..n).map(|_| sampler.next_app()).collect()
 }
 
-fn cluster(shards: usize, executor: ProbeExecutor) -> ClusterService {
-    ClusterBuilder::new(topology::crisp(), shards)
+fn cluster(telemetry: Telemetry) -> ClusterService {
+    ClusterBuilder::new(topology::crisp(), SHARDS)
         .deterministic(true)
         .placement(Box::new(LeastLoaded))
-        .probe_executor(executor)
+        .telemetry(telemetry)
         .build()
         .expect("shard counts fit CRISP")
 }
@@ -63,132 +69,105 @@ fn requests(apps: &[Application]) -> Vec<Request> {
         .collect()
 }
 
-/// Synchronous baseline: one `submit` per request against `service`,
-/// sequential probes all the way down. Best of `reps`.
-fn sync_micros(
-    mut make: impl FnMut() -> Box<dyn ResourceService + Send>,
-    apps: &[Application],
-    reps: u32,
-) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut admitted = 0;
-    for _ in 0..reps {
-        let mut service = make();
-        let wave = requests(apps);
-        let start = Instant::now();
-        for request in wave {
-            service.submit(request);
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        admitted = service.occupancy().admitted_apps;
-        service.take_events();
+/// Synchronous baseline: one `submit` per request, sequential probes all
+/// the way down. Returns the wall time in µs and the admitted count.
+fn sync_run(mut service: Box<dyn ResourceService + Send>, apps: &[Application]) -> (f64, usize) {
+    let wave = requests(apps);
+    let start = Instant::now();
+    for request in wave {
+        service.submit(request);
     }
-    (best, admitted)
+    let micros = start.elapsed().as_secs_f64() * 1e6;
+    (micros, service.occupancy().admitted_apps)
 }
 
-/// Async gateway path: the storm streamed through the lanes in arrival
-/// waves — enqueue a wave, `drive` once — with coalescing merging each
-/// wave into one batched submission the cluster places with a single
-/// parallel per-shard probe fan-out (one fan-out per wave instead of one
-/// per request). Best of `reps`.
-fn gateway_micros(shards: usize, wave_len: usize, apps: &[Application], reps: u32) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut admitted = 0;
-    for _ in 0..reps {
-        let inner = cluster(shards, ProbeExecutor::Pooled);
-        let mut gateway = Gateway::new(
-            Box::new(inner),
-            GatewayConfig { coalesce: true, ..GatewayConfig::default() },
-        );
-        let waves = requests(apps);
-        let start = Instant::now();
-        let mut waves = waves.into_iter().peekable();
-        while waves.peek().is_some() {
-            for request in waves.by_ref().take(wave_len) {
-                gateway.enqueue(request);
-            }
-            gateway.drive();
+/// Gateway path: the storm streamed through the lanes in waves of
+/// [`WAVE`] — enqueue a wave, `drive` once — with coalescing merging
+/// each wave into one batched submission the cluster places with a
+/// single parallel per-shard probe fan-out.
+fn gateway_run(mut gateway: Gateway, apps: &[Application]) -> (f64, usize) {
+    let mut waves = requests(apps).into_iter().peekable();
+    let start = Instant::now();
+    while waves.peek().is_some() {
+        for request in waves.by_ref().take(WAVE) {
+            gateway.enqueue(request);
         }
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        admitted = gateway.occupancy().admitted_apps;
-        gateway.take_events();
+        gateway.drive();
     }
-    (best, admitted)
+    let micros = start.elapsed().as_secs_f64() * 1e6;
+    (micros, gateway.occupancy().admitted_apps)
 }
 
-/// Batched placement of the storm under `executor`, timing only the
-/// probe-bearing `submit_batch`. Best of `reps`.
-fn executor_micros(shards: usize, executor: ProbeExecutor, apps: &[Application], reps: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut service = cluster(shards, executor);
-        let wave = requests(apps);
-        let start = Instant::now();
-        service.submit_batch(wave);
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        service.take_events();
-    }
-    best
+fn coalescing(inner: ClusterService) -> Gateway {
+    Gateway::new(Box::new(inner), GatewayConfig { coalesce: true, ..GatewayConfig::default() })
+}
+
+/// `kairos.cluster.probe.waves` after a lit run of each gated path.
+fn probe_waves(apps: &[Application]) -> (u64, u64) {
+    let waves = |telemetry: &Telemetry| {
+        telemetry.counter("kairos.cluster.probe.waves").map_or(0, |c| c.get())
+    };
+    let lit = || Telemetry::new(TelemetryConfig::default());
+    let (sync_hub, wave_hub) = (lit(), lit());
+    sync_run(Box::new(cluster(sync_hub.clone())), apps);
+    gateway_run(coalescing(cluster(wave_hub.clone())), apps);
+    (waves(&sync_hub), waves(&wave_hub))
+}
+
+/// Median and interquartile range (nearest-rank quartiles).
+fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let q = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
+    (q(0.5), q(0.75) - q(0.25))
 }
 
 fn main() {
-    const APPS: usize = 48;
-    const REPS: u32 = 7;
-    const SHARDS: usize = 3;
-    const WAVE: usize = 8;
     let apps = storm(APPS, 0x6A7E);
 
-    let (mono, mono_admitted) = sync_micros(
-        || Box::new(ServiceBuilder::new(topology::crisp()).deterministic(true).build().unwrap()),
-        &apps,
-        REPS,
-    );
-    let (sync_cluster, sync_admitted) =
-        sync_micros(|| Box::new(cluster(SHARDS, ProbeExecutor::Pooled)), &apps, REPS);
-    let (async_cluster, async_admitted) = gateway_micros(SHARDS, WAVE, &apps, REPS);
-
-    let rate = |admitted: usize, micros: f64| admitted as f64 / (micros / 1e6);
-    print_table(
-        &format!("storm of {APPS} admissions: serving path throughput"),
-        &["path", "wall us", "admissions/s", "admitted"],
-        &[
-            vec![
-                "monolith (sync)".to_owned(),
-                format!("{mono:.0}"),
-                format!("{:.0}", rate(mono_admitted, mono)),
-                mono_admitted.to_string(),
-            ],
-            vec![
-                format!("cluster x{SHARDS} (sync)"),
-                format!("{sync_cluster:.0}"),
-                format!("{:.0}", rate(sync_admitted, sync_cluster)),
-                sync_admitted.to_string(),
-            ],
-            vec![
-                format!("cluster x{SHARDS} (async, waves of {WAVE})"),
-                format!("{async_cluster:.0}"),
-                format!("{:.0}", rate(async_admitted, async_cluster)),
-                async_admitted.to_string(),
-            ],
-        ],
+    let (sync_waves, gateway_waves) = probe_waves(&apps);
+    let expected = APPS.div_ceil(WAVE) as u64;
+    assert_eq!(sync_waves, APPS as u64, "the sync cluster probes once per request");
+    assert_eq!(
+        gateway_waves, expected,
+        "the coalesced gateway must probe once per {WAVE}-request wave"
     );
 
-    let mut rows = Vec::new();
-    let mut worst_ratio = 0.0f64;
-    for shards in [2usize, 3, 4] {
-        let pooled = executor_micros(shards, ProbeExecutor::Pooled, &apps, REPS);
-        let scoped = executor_micros(shards, ProbeExecutor::Scoped, &apps, REPS);
-        worst_ratio = worst_ratio.max(pooled / scoped);
-        rows.push(vec![
-            shards.to_string(),
-            format!("{pooled:.0}"),
-            format!("{scoped:.0}"),
-            format!("{:.2}x", scoped / pooled),
-        ]);
+    let rate = |(micros, admitted): (f64, usize)| admitted as f64 / (micros / 1e6);
+    let (mut mono, mut sync, mut gateway) = (Vec::new(), Vec::new(), Vec::new());
+    let mut admitted = [0usize; 3];
+    for trial in 0..TRIALS {
+        let monolith = ServiceBuilder::new(topology::crisp()).deterministic(true).build().unwrap();
+        let run = sync_run(Box::new(monolith), &apps);
+        admitted[0] = run.1;
+        mono.push(rate(run));
+        let sync_service = Box::new(cluster(Telemetry::disabled()));
+        let gateway_service = coalescing(cluster(Telemetry::disabled()));
+        let (s, g) = if trial % 2 == 0 {
+            let s = sync_run(sync_service, &apps);
+            (s, gateway_run(gateway_service, &apps))
+        } else {
+            let g = gateway_run(gateway_service, &apps);
+            (sync_run(sync_service, &apps), g)
+        };
+        (admitted[1], admitted[2]) = (s.1, g.1);
+        sync.push(rate(s));
+        gateway.push(rate(g));
     }
+
+    let paths = [
+        ("monolith (sync)".to_owned(), median_iqr(mono), admitted[0]),
+        (format!("cluster x{SHARDS} (sync)"), median_iqr(sync), admitted[1]),
+        (format!("cluster x{SHARDS} (gateway, waves of {WAVE})"), median_iqr(gateway), admitted[2]),
+    ];
+    let rows: Vec<Vec<String>> = paths
+        .iter()
+        .map(|(path, (median, iqr), admitted)| {
+            vec![path.clone(), format!("{median:.0}"), format!("{iqr:.0}"), admitted.to_string()]
+        })
+        .collect();
     print_table(
-        "batched storm placement: persistent pool vs per-wave scoped spawns",
-        &["shards", "pooled us", "scoped us", "pool speedup"],
+        &format!("storm of {APPS} admissions, {TRIALS} paired trials: serving throughput"),
+        &["path", "median admissions/s", "IQR", "admitted"],
         &rows,
     );
 
@@ -197,23 +176,15 @@ fn main() {
     // serialises the shard workers, so only a noise tolerance applies.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let tolerance = if cores > 1 { 1.0 } else { 1.15 };
-    let sync_rate = rate(sync_admitted, sync_cluster);
-    let async_rate = rate(async_admitted, async_cluster);
+    let (sync_rate, gateway_rate) = (paths[1].1 .0, paths[2].1 .0);
     assert!(
-        async_rate * tolerance >= sync_rate,
-        "the async gateway path must not admit slower than the sync cluster \
-         ({async_rate:.0}/s vs {sync_rate:.0}/s on {cores} core(s))"
-    );
-    // The pool pays its spawns once at construction; per wave it must
-    // never lose to respawning a thread per shard (noise margin only).
-    assert!(
-        worst_ratio <= 1.15,
-        "the persistent probe pool must never be slower than scoped spawns \
-         (worst pooled/scoped ratio {worst_ratio:.2})"
+        gateway_rate * tolerance >= sync_rate,
+        "the gateway wave path must not admit slower than the sync cluster \
+         (median {gateway_rate:.0}/s vs {sync_rate:.0}/s on {cores} core(s))"
     );
     println!(
-        "OK ({cores} core(s)): async {async_rate:.0} admissions/s vs sync cluster \
-         {sync_rate:.0}/s ({:.2}x), worst pooled/scoped ratio {worst_ratio:.2}",
-        async_rate / sync_rate
+        "OK ({cores} core(s)): {gateway_waves} probe waves vs {sync_waves}; gateway median \
+         {gateway_rate:.0} admissions/s vs sync cluster {sync_rate:.0}/s ({:.2}x)",
+        gateway_rate / sync_rate
     );
 }

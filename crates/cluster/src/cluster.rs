@@ -145,7 +145,6 @@ pub struct ClusterBuilder {
     admission: Option<AdmitPolicy>,
     policy: Box<dyn PlacementPolicy>,
     telemetry: Telemetry,
-    executor: ProbeExecutor,
 }
 
 impl ClusterBuilder {
@@ -160,19 +159,15 @@ impl ClusterBuilder {
             admission: None,
             policy: Box::new(FirstFit),
             telemetry: Telemetry::disabled(),
-            executor: ProbeExecutor::default(),
         }
     }
 
-    /// Selects the probe fan-out executor (default:
-    /// [`ProbeExecutor::Pooled`] — one persistent worker thread per
-    /// shard). [`ProbeExecutor::Scoped`] restores the legacy per-wave
-    /// `std::thread::scope` spawns; both produce byte-identical probe
-    /// rows, event streams and metric snapshots (the
-    /// `pooled_and_scoped_probe_executors_are_byte_identical` pin).
-    pub fn probe_executor(mut self, executor: ProbeExecutor) -> Self {
-        self.executor = executor;
-        self
+    /// Selects the probe fan-out executor. [`ProbeExecutor::Pooled`] —
+    /// one persistent worker thread per shard — is the only one.
+    pub fn probe_executor(self, executor: ProbeExecutor) -> Self {
+        match executor {
+            ProbeExecutor::Pooled => self,
+        }
     }
 
     /// Replaces the per-shard manager configuration (each shard's
@@ -249,14 +244,13 @@ impl ClusterBuilder {
         let metrics = ClusterMetrics::new(&self.telemetry, region.region_count());
         // One-shard clusters probe inline (monolithic byte-identity), so
         // the pool only exists where a fan-out actually happens.
-        let pool =
-            (self.executor == ProbeExecutor::Pooled && region.region_count() > 1).then(|| {
-                ProbePool::new(
-                    region.region_count(),
-                    &self.telemetry,
-                    metrics.as_ref().map(|m| m.probe_ns.as_slice()),
-                )
-            });
+        let pool = (region.region_count() > 1).then(|| {
+            ProbePool::new(
+                region.region_count(),
+                &self.telemetry,
+                metrics.as_ref().map(|m| m.probe_ns.as_slice()),
+            )
+        });
         Ok(ClusterService {
             shards,
             region,
@@ -330,8 +324,7 @@ pub struct ClusterService {
     events: Vec<Event>,
     telemetry: Telemetry,
     metrics: Option<ClusterMetrics>,
-    /// The persistent probe workers; `None` on one-shard clusters and
-    /// under [`ProbeExecutor::Scoped`].
+    /// The persistent probe workers; `None` on one-shard clusters.
     pool: Option<ProbePool>,
 }
 
@@ -342,13 +335,10 @@ pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_00
 
 /// Pre-resolved registry handles for the cluster layer, built once at
 /// construction. The per-shard probe histograms are recorded from inside
-/// the fan-out's probe threads (pool workers or scoped spawns alike);
-/// that stays deterministic under the zero clock because every recorded
-/// duration is `0` and atomic increments commute, so the snapshot is a
-/// pure function of the probe count — independent of thread scheduling,
-/// of whether telemetry is lit, and of which [`ProbeExecutor`] ran the
-/// wave (the `pooled_and_scoped_probe_executors_are_byte_identical` pin
-/// holds all of this in place).
+/// the pool's worker threads; that stays deterministic under the zero
+/// clock because every recorded duration is `0` and atomic increments
+/// commute, so the snapshot is a pure function of the probe count —
+/// independent of thread scheduling and of whether telemetry is lit.
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
     probe_waves: Arc<Counter>,
@@ -537,68 +527,28 @@ impl ClusterService {
     }
 
     /// The multi-shard fan-out behind [`Self::probe_admit`] and
-    /// [`Self::probe_wave`]: every shard probes the whole wave, timings
-    /// recorded inside the executor's threads, fit rows merged in
-    /// shard-id order (outer index = shard). Runs on the persistent
-    /// [`ProbePool`] when one exists, or falls back to per-wave scoped
-    /// spawns ([`ProbeExecutor::Scoped`]) — the two are byte-identical
-    /// in results, events and metric values.
+    /// [`Self::probe_wave`]: every shard probes the whole wave on its
+    /// [`ProbePool`] worker, timings recorded inside the workers, fit rows
+    /// merged in shard-id order (outer index = shard).
     fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
-        if let Some(pool) = &self.pool {
-            // Ownership transfer: lend each shard's manager to its
-            // persistent worker together with one shared copy of the
-            // wave, then take managers and fit rows back in shard-id
-            // order.
-            let wave: Arc<Vec<Application>> =
-                Arc::new(apps.iter().map(|&app| app.clone()).collect());
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                let service = shard.service.take().expect("shard manager is checked in");
-                pool.submit(i, service, wave.clone());
-            }
-            self.shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    let (service, fits) = pool.collect(i);
-                    shard.service = Some(service);
-                    fits
-                })
-                .collect()
-        } else {
-            // Legacy executor: one scoped thread per shard per wave. Each
-            // thread exclusively owns its shard's manager (`iter_mut`
-            // hands out disjoint borrows) and joining in spawn order
-            // re-imposes shard-id order on the results.
-            let metrics = &self.metrics;
-            let telemetry = &self.telemetry;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let hist = metrics.as_ref().map(|m| m.probe_ns[i].clone());
-                        scope.spawn(move || {
-                            let service = shard.svc_mut();
-                            apps.iter()
-                                .map(|app| {
-                                    let start = telemetry.clock();
-                                    let fit = fit_of(service.probe_admit(app).ok());
-                                    if let Some(hist) = &hist {
-                                        hist.record(Telemetry::elapsed_ns(start));
-                                    }
-                                    fit
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("probe thread panicked"))
-                    .collect()
-            })
+        let pool = self.pool.as_ref().expect("multi-shard clusters own a probe pool");
+        // Ownership transfer: lend each shard's manager to its persistent
+        // worker together with one shared copy of the wave, then take
+        // managers and fit rows back in shard-id order.
+        let wave: Arc<Vec<Application>> = Arc::new(apps.iter().map(|&app| app.clone()).collect());
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let service = shard.service.take().expect("shard manager is checked in");
+            pool.submit(i, service, wave.clone());
         }
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let (service, fits) = pool.collect(i);
+                shard.service = Some(service);
+                fits
+            })
+            .collect()
     }
 
     /// Current per-shard loads, in shard-id order.
@@ -1151,59 +1101,6 @@ mod tests {
             one.shard(0).kairos().platform().txn_count(),
             "one batch transaction either way"
         );
-    }
-
-    /// Satellite pin: the persistent worker-pool probe executor and the
-    /// legacy per-wave scoped fan-out are byte-identical — tickets,
-    /// event streams, occupancy, and (lit) the rendered metric snapshot,
-    /// including the per-shard probe-timing histograms, whose recording
-    /// is commutative and therefore independent of executor scheduling.
-    #[test]
-    fn pooled_and_scoped_probe_executors_are_byte_identical() {
-        let traffic = || -> Vec<Request> {
-            let mut t: Vec<Request> = (0..8)
-                .map(|i| Request::admit(i, chain(&format!("p{i}"), 2, 600), PriorityClass::Normal))
-                .collect();
-            t.push(Request::new(8, Command::Rebalance { max_moves: 2 }));
-            t
-        };
-        let batch: Vec<Request> = (0..4)
-            .map(|i| Request::admit(9, chain(&format!("b{i}"), 1, 400), PriorityClass::Low))
-            .collect();
-        for lit in [false, true] {
-            let build = |executor: ProbeExecutor| {
-                let telemetry = if lit {
-                    Telemetry::new(kairos_telemetry::TelemetryConfig::default())
-                } else {
-                    Telemetry::disabled()
-                };
-                ClusterBuilder::new(topology::crisp(), 3)
-                    .deterministic(true)
-                    .telemetry(telemetry)
-                    .probe_executor(executor)
-                    .build()
-                    .unwrap()
-            };
-            let mut pooled = build(ProbeExecutor::Pooled);
-            let mut scoped = build(ProbeExecutor::Scoped);
-            let pooled_tickets: Vec<Ticket> =
-                traffic().into_iter().map(|r| pooled.submit(r)).collect();
-            let scoped_tickets: Vec<Ticket> =
-                traffic().into_iter().map(|r| scoped.submit(r)).collect();
-            assert_eq!(pooled_tickets, scoped_tickets);
-            assert_eq!(pooled.submit_batch(batch.clone()), scoped.submit_batch(batch.clone()));
-            let (a, b) = (pooled.take_events(), scoped.take_events());
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "lit={lit}: event streams diverged");
-            assert_eq!(pooled.occupancy(), scoped.occupancy());
-            assert_eq!(pooled.queue_depth(), scoped.queue_depth());
-            if lit {
-                assert_eq!(
-                    pooled.telemetry().render_text(),
-                    scoped.telemetry().render_text(),
-                    "metric snapshots (probe histograms included) must match byte-for-byte"
-                );
-            }
-        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   worker-pool probe executor: one long-lived thread per shard, fed
 //!   whole waves through job channels (no executor crate, no extra
 //!   dependencies; each probe is a claim-journal transaction its shard
-//!   always rolls back, and [`ProbeExecutor::Scoped`] keeps the legacy
-//!   per-wave `std::thread::scope` fan-out selectable for comparison).
+//!   always rolls back).
 //!   Results are merged **in shard-id order**, so thread scheduling can
 //!   never leak into a decision: cluster output is byte-deterministic.
 //! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks
@@ -91,7 +90,7 @@ impl ClusterService {
 }
 
 // Compile-time thread-safety pins. Sharding lends whole manager stacks
-// to the persistent probe workers (or scoped probe threads) and shares
+// to the persistent probe workers and shares
 // the probed wave between them; if any layer (platform, manager,
 // service, injected policy objects) silently stopped being `Send`/
 // `Sync`, parallel probing would regress. Fail the build here instead.

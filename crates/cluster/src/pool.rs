@@ -12,9 +12,8 @@
 //! fit row — receiving **in shard-id order**, so thread scheduling can
 //! never leak into a placement decision.
 //!
-//! Per-shard probe-timing histograms are recorded inside the workers,
-//! exactly as the scoped fan-out recorded them inside its threads; that
-//! stays byte-deterministic because histogram recording is commutative
+//! Per-shard probe-timing histograms are recorded inside the workers;
+//! that stays byte-deterministic because histogram recording is commutative
 //! (see the cluster metrics docs) and under the deterministic zero clock
 //! every recorded duration is `0`.
 
@@ -31,17 +30,13 @@ use crate::policy::ShardFit;
 
 /// How a [`ClusterService`](crate::ClusterService) fans admission probes
 /// out across its shards (multi-shard clusters only; a one-shard cluster
-/// probes inline either way, preserving monolithic byte-identity).
+/// probes inline, preserving monolithic byte-identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeExecutor {
     /// One long-lived worker thread per shard, fed whole waves through
-    /// job channels (the default).
+    /// job channels.
     #[default]
     Pooled,
-    /// One fresh scoped thread per shard per wave — the legacy
-    /// `std::thread::scope` fan-out, kept for the pooled-vs-scoped
-    /// equivalence pin and the `gateway` bench comparison.
-    Scoped,
 }
 
 /// One wave of work for a worker: the shard's manager (lent for the

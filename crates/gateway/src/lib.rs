@@ -1,45 +1,40 @@
 //! # kairos-gateway
 //!
-//! An async serving front-end over the
-//! [`ResourceService`] surface — the layer
-//! that turns the synchronous request/event API into a deterministic
-//! admission *server*.
+//! A serving front-end over the [`ResourceService`] surface: it accepts
+//! requests ahead of the service, holds them in bounded per-shard lanes
+//! and forwards them in a deterministic order.
 //!
 //! The paper's run-time manager answers one admission at a time; a
-//! deployment serves tens of thousands of concurrent requests. The
+//! deployment accepts many requests before any of them is decided. The
 //! gateway bridges the two without giving up byte-determinism:
 //!
-//! * **Hand-rolled single-threaded executor** — every accepted request
-//!   becomes one future on a `FuturesUnordered` ready-queue (from the
-//!   offline `futures` shim; no executor crate). The queue drains ready
-//!   entries **in ticket order**, so concurrency never reorders
-//!   decisions: a double run is byte-identical, tens of thousands of
-//!   admissions in flight or not.
+//! * **Ticket-ordered scheduling** — every accepted `enqueue` or
+//!   `enqueue_batch` becomes one *unit*: its member tickets, each
+//!   member's lane and a stage (acquiring member *i*'s lane slot, or
+//!   awaiting member *i*'s terminal event). A [`Gateway::drive`] pass
+//!   always steps the lowest ready unit first, so concurrency never
+//!   reorders decisions: a double run is byte-identical, tens of
+//!   thousands of admissions in flight or not.
 //! * **Per-shard bounded lanes** — requests are striped over one bounded
 //!   lane per shard of the inner service
-//!   ([`ResourceService::shard_count`]). A full lane parks the request
-//!   future (counted in [`GatewayCounters::parked`]) until a completion
-//!   frees a slot — bounded-channel backpressure, deterministic because
-//!   waiters wake lowest-ticket-first.
-//! * **Completion streams** — [`Gateway::subscribe`] returns a
-//!   [`CompletionStream`] that yields every event correlated to one
-//!   ticket as it happens, ending after the terminal event (admitted,
-//!   rejected, released, …) — the "response stream" of the serving
-//!   front-end.
+//!   ([`ResourceService::shard_count`]). A full lane parks the unit
+//!   (counted in [`GatewayCounters::parked`]) until a completion frees a
+//!   slot; parked units resume lowest-ticket-first.
 //! * **One service surface** — [`Gateway`] itself implements
-//!   [`ResourceService`], driving each submission to completion before
-//!   returning. In that lockstep mode the gateway mints the same ticket
-//!   numbers as the wrapped service and reproduces its event stream byte
-//!   for byte (the `gateway_equivalence` suite pins this across queued,
-//!   clustered, preempting and cached regimes). The async API
-//!   ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
-//!   work happens, never what is decided.
+//!   [`ResourceService`], driving each submission as far as it goes
+//!   before returning. In that lockstep mode the gateway mints the same
+//!   ticket numbers as the wrapped service and reproduces its event
+//!   stream byte for byte (the `gateway_equivalence` suite pins this
+//!   across queued, clustered, preempting and cached regimes). The
+//!   deferred API ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes
+//!   only *when* work happens, never what is decided. A ticket's events
+//!   are the delivered events whose [`Event::ticket`] names it.
 //! * **Optional admit coalescing** — [`GatewayConfig::coalesce`] merges
 //!   contiguous single admissions flushed in one drive pass into one
 //!   [`ResourceService::submit_batch`] wave (one platform transaction,
 //!   one drain pass). That changes how the inner service is driven, so
 //!   it is off by default and excluded from the sync-equivalence
-//!   guarantee; the `gateway` bench uses it for the async-throughput
+//!   guarantee; the `gateway` bench uses it for the wave-throughput
 //!   comparison.
 //!
 //! Telemetry: when constructed over a lit hub
@@ -63,7 +58,7 @@
 //! let mut gateway = Gateway::new(Box::new(inner), GatewayConfig::default());
 //! let mut generator = AppGenerator::new(GeneratorConfig::default(), 7);
 //!
-//! // Async serving: accept a burst, then drive it to completion.
+//! // Deferred serving: accept a burst, then drive it to completion.
 //! for i in 0..16 {
 //!     gateway.enqueue(Request::admit(i, generator.generate(format!("app-{i}")), PriorityClass::Normal));
 //! }
@@ -76,15 +71,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
-
-use futures::future::poll_fn;
-use futures::stream::FuturesUnordered;
-use futures::task::noop_waker;
-use futures::{future::BoxFuture, FutureExt, Stream};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
 use kairos_svc::{CapacityEvent, Command, Event, Request, ResourceService, Ticket};
@@ -132,7 +120,8 @@ pub struct GatewayCounters {
     pub coalesced: u64,
     /// Requests driven to their terminal event.
     pub completions: u64,
-    /// Most request futures in flight at once.
+    /// Most accepted units (an `enqueue`, or a whole `enqueue_batch`)
+    /// in flight at once.
     pub peak_inflight: u64,
     /// Times a request parked on a full lane.
     pub parked: u64,
@@ -142,13 +131,19 @@ pub struct GatewayCounters {
 /// the gateway itself (or the service stack owning it) is consumed.
 #[derive(Debug, Clone)]
 pub struct GatewayStats {
-    core: Arc<Mutex<Core>>,
+    counters: Arc<Mutex<GatewayCounters>>,
 }
 
 impl GatewayStats {
     /// The counters as of now.
     pub fn snapshot(&self) -> GatewayCounters {
-        self.core.lock().expect("gateway core").stats
+        *self.counters.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every update is a plain counter bump that cannot panic half-way,
+    /// so a poisoned lock still guards valid counters.
+    fn update(&self, f: impl FnOnce(&mut GatewayCounters)) {
+        f(&mut self.counters.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
@@ -217,158 +212,92 @@ impl Expect {
     }
 }
 
-/// A request the executor has accepted but not yet pushed into the inner
-/// service: the flush between polls forwards these in ticket order.
+/// A unit's requests, held until every member has its lane slot; the
+/// flush after a stepping pass forwards them in stepping order.
 #[derive(Debug)]
 enum Forward {
     Single(u64, Request),
     Batch(Vec<u64>, Vec<Request>),
 }
 
+/// Where a unit stands: acquiring member *i*'s lane slot, or awaiting
+/// member *i*'s terminal event.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Acquire(usize),
+    Await(usize),
+}
+
+/// One accepted `enqueue` (one member) or `enqueue_batch` (one member
+/// per request). A batch claims every member's slot, in ticket order,
+/// before it forwards, and frees them in the same order as its members
+/// finish.
+#[derive(Debug)]
+struct Unit {
+    /// Each member's gateway ticket and lane.
+    members: Vec<(u64, usize)>,
+    /// The requests, until forwarded.
+    forward: Option<Forward>,
+    stage: Stage,
+}
+
+/// One accepted request not yet at its terminal event.
+#[derive(Debug)]
+struct Pending {
+    unit: u64,
+    expect: Expect,
+    accepted_at: u64,
+}
+
 /// One bounded per-shard request lane.
 #[derive(Debug)]
 struct Lane {
-    capacity: usize,
     inflight: usize,
-    /// Parked acquirers by gateway ticket; woken lowest-ticket-first so
-    /// lane handoff order is deterministic.
-    waiters: BTreeMap<u64, Waker>,
+    /// Parked units, keyed by the ticket of the member waiting for a
+    /// slot; a freed slot readies the lowest, so lane handoff order is
+    /// deterministic.
+    parked: BTreeMap<u64, u64>,
     depth: Option<Arc<Gauge>>,
 }
 
-/// Completion state of one accepted ticket.
-#[derive(Debug)]
-enum Terminal {
-    Waiting(Option<Waker>),
-    Done,
+impl Lane {
+    fn set_inflight(&mut self, inflight: usize) {
+        self.inflight = inflight;
+        if let Some(depth) = &self.depth {
+            depth.set(inflight as i64);
+        }
+    }
 }
 
-/// Per-subscriber event buffer for one ticket.
-#[derive(Debug, Default)]
-struct SubState {
-    queue: VecDeque<Event>,
-    done: bool,
-    waker: Option<Waker>,
-}
-
-/// State shared between the gateway and its request futures.
+/// The serving front-end. See the crate docs for the model.
 #[derive(Debug)]
-struct Core {
+pub struct Gateway {
+    inner: Box<dyn ResourceService + Send>,
     lanes: Vec<Lane>,
     /// Set at shutdown: lanes stop bounding so every parked request
     /// flushes into the inner service before its final drain.
     draining: bool,
+    /// Accepted units by acceptance order.
+    units: BTreeMap<u64, Unit>,
+    next_unit: u64,
+    /// Units that can make progress; stepped lowest key first.
+    ready: BTreeSet<u64>,
+    /// Requests stepped past their lane, awaiting the next flush.
     forwards: Vec<Forward>,
-    terminals: BTreeMap<u64, Terminal>,
-    streams: BTreeMap<u64, SubState>,
-    stats: GatewayCounters,
-}
-
-impl Core {
-    fn poll_acquire(&mut self, lane: usize, ticket: u64, cx: &mut Context<'_>) -> Poll<()> {
-        let draining = self.draining;
-        let l = &mut self.lanes[lane];
-        if draining || l.inflight < l.capacity {
-            l.inflight += 1;
-            if let Some(depth) = &l.depth {
-                depth.set(l.inflight as i64);
-            }
-            Poll::Ready(())
-        } else {
-            if l.waiters.insert(ticket, cx.waker().clone()).is_none() {
-                self.stats.parked += 1;
-            }
-            Poll::Pending
-        }
-    }
-
-    fn release(&mut self, lane: usize) {
-        let l = &mut self.lanes[lane];
-        l.inflight = l.inflight.saturating_sub(1);
-        if let Some(depth) = &l.depth {
-            depth.set(l.inflight as i64);
-        }
-        if let Some((_, waker)) = l.waiters.pop_first() {
-            waker.wake();
-        }
-    }
-
-    fn drain(&mut self) {
-        self.draining = true;
-        for lane in &mut self.lanes {
-            while let Some((_, waker)) = lane.waiters.pop_first() {
-                waker.wake();
-            }
-        }
-    }
-
-    fn poll_terminal(&mut self, ticket: u64, cx: &mut Context<'_>) -> Poll<()> {
-        match self.terminals.get_mut(&ticket) {
-            Some(Terminal::Done) | None => Poll::Ready(()),
-            Some(Terminal::Waiting(waker)) => {
-                *waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-
-    fn complete(&mut self, ticket: u64) {
-        if let Some(Terminal::Waiting(Some(waker))) = self.terminals.insert(ticket, Terminal::Done)
-        {
-            waker.wake();
-        }
-        if let Some(sub) = self.streams.get_mut(&ticket) {
-            sub.done = true;
-            if let Some(waker) = sub.waker.take() {
-                waker.wake();
-            }
-        }
-    }
-
-    fn feed_stream(&mut self, ticket: u64, event: &Event) {
-        if let Some(sub) = self.streams.get_mut(&ticket) {
-            sub.queue.push_back(event.clone());
-            if let Some(waker) = sub.waker.take() {
-                waker.wake();
-            }
-        }
-    }
-}
-
-/// The async serving front-end. See the crate docs for the model.
-pub struct Gateway {
-    inner: Box<dyn ResourceService + Send>,
-    core: Arc<Mutex<Core>>,
-    /// The executor: one future per accepted request, drained in ticket
-    /// order by the shim's deterministic ready-queue.
-    tasks: FuturesUnordered<BoxFuture<'static, ()>>,
+    /// Accepted requests by gateway ticket, until their terminal event.
+    pending: BTreeMap<u64, Pending>,
     /// Gateway ticket mint; tracks the inner service numerically in
     /// lockstep mode.
     next_ticket: u64,
     /// inner ticket → gateway ticket, minted on first sight in event
-    /// order (covers preemption requeues the inner service mints).
+    /// order (covers preemption requeues the inner service mints) and
+    /// dropped at the ticket's terminal event.
     tickets: BTreeMap<u64, Ticket>,
-    /// Acceptance time of each in-flight ticket, for the completion
-    /// latency histogram.
-    started: BTreeMap<u64, u64>,
-    /// Expected terminal event kind per in-flight ticket.
-    expects: BTreeMap<u64, Expect>,
     outbox: Vec<Event>,
     now: u64,
     config: GatewayConfig,
+    stats: GatewayStats,
     metrics: Option<GatewayMetrics>,
-}
-
-impl std::fmt::Debug for Gateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gateway")
-            .field("inner", &self.inner)
-            .field("inflight", &self.tasks.len())
-            .field("next_ticket", &self.next_ticket)
-            .field("now", &self.now)
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Gateway {
@@ -386,33 +315,28 @@ impl Gateway {
         config: GatewayConfig,
         telemetry: Telemetry,
     ) -> Self {
-        let capacity = config.channel_capacity.max(1);
         let lanes = (0..inner.shard_count().max(1))
             .map(|i| Lane {
-                capacity,
                 inflight: 0,
-                waiters: BTreeMap::new(),
+                parked: BTreeMap::new(),
                 depth: telemetry.gauge(&format!("kairos.gateway.lane{i}.depth")),
             })
             .collect();
         Gateway {
             inner,
-            core: Arc::new(Mutex::new(Core {
-                lanes,
-                draining: false,
-                forwards: Vec::new(),
-                terminals: BTreeMap::new(),
-                streams: BTreeMap::new(),
-                stats: GatewayCounters::default(),
-            })),
-            tasks: FuturesUnordered::new(),
+            lanes,
+            draining: false,
+            units: BTreeMap::new(),
+            next_unit: 0,
+            ready: BTreeSet::new(),
+            forwards: Vec::new(),
+            pending: BTreeMap::new(),
             next_ticket: 0,
             tickets: BTreeMap::new(),
-            started: BTreeMap::new(),
-            expects: BTreeMap::new(),
             outbox: Vec::new(),
             now: 0,
-            config: GatewayConfig { channel_capacity: capacity, ..config },
+            config: GatewayConfig { channel_capacity: config.channel_capacity.max(1), ..config },
+            stats: GatewayStats { counters: Arc::default() },
             metrics: GatewayMetrics::new(&telemetry),
         }
     }
@@ -425,24 +349,24 @@ impl Gateway {
     /// Number of per-shard request lanes (the inner service's shard
     /// count).
     pub fn lane_count(&self) -> usize {
-        self.core.lock().expect("gateway core").lanes.len()
+        self.lanes.len()
     }
 
-    /// Request futures currently in flight (accepted, not yet at their
-    /// terminal event).
+    /// Accepted units (an `enqueue`, or a whole `enqueue_batch`) not yet
+    /// retired: some member is still short of its terminal event.
     pub fn inflight(&self) -> usize {
-        self.tasks.len()
+        self.units.len()
     }
 
     /// The counters as of now.
     pub fn stats(&self) -> GatewayCounters {
-        self.core.lock().expect("gateway core").stats
+        self.stats.snapshot()
     }
 
     /// A cloneable counter handle that outlives the gateway's ownership
     /// (drivers embed it in their final report).
     pub fn stats_handle(&self) -> GatewayStats {
-        GatewayStats { core: Arc::clone(&self.core) }
+        self.stats.clone()
     }
 
     fn mint(&mut self) -> Ticket {
@@ -463,166 +387,143 @@ impl Gateway {
         ticket
     }
 
-    fn note_accept(&mut self, ticket: Ticket, request: &Request) {
-        self.now = self.now.max(request.at);
-        self.started.insert(ticket.0, request.at);
-        self.expects.insert(ticket.0, Expect::of(&request.command));
-        if let Some(metrics) = &self.metrics {
-            metrics.submitted.add(1);
-        }
-    }
-
-    /// Accepts one request without driving it: the returned ticket's
-    /// future acquires a lane slot, forwards on the next [`Gateway::drive`]
-    /// pass, and resolves at the request's terminal event.
+    /// Accepts one request without driving it: its unit takes a lane
+    /// slot and forwards on the next [`Gateway::drive`] pass, and
+    /// retires at the request's terminal event.
     pub fn enqueue(&mut self, request: Request) -> Ticket {
         let ticket = self.mint();
-        self.note_accept(ticket, &request);
-        let lane = (ticket.0 as usize) % self.lane_count();
-        {
-            let mut core = self.core.lock().expect("gateway core");
-            core.stats.submitted += 1;
-            core.terminals.insert(ticket.0, Terminal::Waiting(None));
-        }
-        let core = Arc::clone(&self.core);
-        let id = ticket.0;
-        self.tasks.push(
-            async move {
-                poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx)).await;
-                core.lock().expect("gateway core").forwards.push(Forward::Single(id, request));
-                poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
-                core.lock().expect("gateway core").release(lane);
-            }
-            .boxed(),
-        );
-        self.note_peak();
+        let lane = self.accept(ticket, &request);
+        self.push_unit(vec![(ticket.0, lane)], Forward::Single(ticket.0, request));
         ticket
     }
 
     /// Accepts a whole arrival wave as one batched operation (one ticket
     /// per request, forwarded through [`ResourceService::submit_batch`]).
     pub fn enqueue_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
-        let lanes = self.lane_count();
-        let mut ids = Vec::with_capacity(requests.len());
-        {
-            let mut core = self.core.lock().expect("gateway core");
-            core.stats.submitted += requests.len() as u64;
-        }
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|request| {
-                let ticket = self.mint();
-                self.note_accept(ticket, request);
-                self.core
-                    .lock()
-                    .expect("gateway core")
-                    .terminals
-                    .insert(ticket.0, Terminal::Waiting(None));
-                ids.push(ticket.0);
-                ticket
-            })
-            .collect();
-        let core = Arc::clone(&self.core);
-        let members = ids;
-        self.tasks.push(
-            async move {
-                // Claim every member's lane slot in ticket order, then
-                // forward the wave as one batch.
-                for &id in &members {
-                    let lane = (id as usize) % lanes;
-                    poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx))
-                        .await;
-                }
-                core.lock()
-                    .expect("gateway core")
-                    .forwards
-                    .push(Forward::Batch(members.clone(), requests));
-                for &id in &members {
-                    poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
-                    core.lock().expect("gateway core").release((id as usize) % lanes);
-                }
-            }
-            .boxed(),
-        );
-        self.note_peak();
+        let tickets: Vec<Ticket> = requests.iter().map(|_| self.mint()).collect();
+        let members =
+            tickets.iter().zip(&requests).map(|(&t, r)| (t.0, self.accept(t, r))).collect();
+        let ids = tickets.iter().map(|t| t.0).collect();
+        self.push_unit(members, Forward::Batch(ids, requests));
         tickets
     }
 
-    fn note_peak(&mut self) {
-        let inflight = self.tasks.len() as u64;
-        let mut core = self.core.lock().expect("gateway core");
-        if core.stats.peak_inflight < inflight {
-            core.stats.peak_inflight = inflight;
+    /// Books `request` as pending under `ticket` in the next unit and
+    /// returns its lane.
+    fn accept(&mut self, ticket: Ticket, request: &Request) -> usize {
+        self.now = self.now.max(request.at);
+        let pending = Pending {
+            unit: self.next_unit,
+            expect: Expect::of(&request.command),
+            accepted_at: request.at,
+        };
+        self.pending.insert(ticket.0, pending);
+        self.stats.update(|s| s.submitted += 1);
+        if let Some(metrics) = &self.metrics {
+            metrics.submitted.add(1);
+        }
+        (ticket.0 as usize) % self.lanes.len()
+    }
+
+    fn push_unit(&mut self, members: Vec<(u64, usize)>, forward: Forward) {
+        let key = self.next_unit;
+        self.next_unit += 1;
+        self.units.insert(key, Unit { members, forward: Some(forward), stage: Stage::Acquire(0) });
+        self.ready.insert(key);
+        let inflight = self.units.len() as u64;
+        self.stats.update(|s| s.peak_inflight = s.peak_inflight.max(inflight));
+    }
+
+    /// Advances unit `key` until it blocks on a full lane or an
+    /// unfinished member, or retires.
+    fn step(&mut self, key: u64) {
+        let Some(unit) = self.units.get_mut(&key) else { return };
+        loop {
+            match unit.stage {
+                Stage::Acquire(i) => {
+                    let Some(&(ticket, lane)) = unit.members.get(i) else {
+                        self.forwards.extend(unit.forward.take());
+                        unit.stage = Stage::Await(0);
+                        continue;
+                    };
+                    let lane = &mut self.lanes[lane];
+                    if !self.draining && lane.inflight >= self.config.channel_capacity {
+                        if lane.parked.insert(ticket, key).is_none() {
+                            self.stats.update(|s| s.parked += 1);
+                        }
+                        return;
+                    }
+                    lane.set_inflight(lane.inflight + 1);
+                    unit.stage = Stage::Acquire(i + 1);
+                }
+                Stage::Await(i) => {
+                    let Some(&(ticket, lane)) = unit.members.get(i) else {
+                        self.units.remove(&key);
+                        return;
+                    };
+                    if self.pending.contains_key(&ticket) {
+                        return;
+                    }
+                    let lane = &mut self.lanes[lane];
+                    lane.set_inflight(lane.inflight.saturating_sub(1));
+                    if let Some((_, waiter)) = lane.parked.pop_first() {
+                        self.ready.insert(waiter);
+                    }
+                    unit.stage = Stage::Await(i + 1);
+                }
+            }
         }
     }
 
-    /// Streams every event correlated to `ticket` as it is delivered,
-    /// ending after its terminal event. Subscribe before driving;
-    /// events delivered earlier are not replayed.
-    pub fn subscribe(&mut self, ticket: Ticket) -> CompletionStream {
-        let mut core = self.core.lock().expect("gateway core");
-        let done = matches!(core.terminals.get(&ticket.0), Some(Terminal::Done));
-        let sub = core.streams.entry(ticket.0).or_default();
-        sub.done = sub.done || done;
-        drop(core);
-        CompletionStream { ticket: ticket.0, core: Arc::clone(&self.core) }
-    }
-
-    /// Runs the executor until no request future can make progress:
-    /// polls every ready future (in ticket order), flushes the requests
-    /// they forwarded into the inner service, delivers the resulting
-    /// events (completing tickets, waking their futures), and repeats
-    /// until a pass forwards nothing.
+    /// Runs the scheduler until no unit can make progress: steps every
+    /// ready unit (lowest key first), flushes the requests they forwarded
+    /// into the inner service, delivers the resulting events (readying
+    /// the units whose members finished), and repeats until a pass
+    /// forwards nothing.
     pub fn drive(&mut self) {
         loop {
-            let waker = noop_waker();
-            let mut cx = Context::from_waker(&waker);
-            while let Poll::Ready(Some(())) = Pin::new(&mut self.tasks).poll_next(&mut cx) {}
+            while let Some(key) = self.ready.pop_first() {
+                self.step(key);
+            }
             if !self.flush_forwards() {
                 break;
             }
         }
         if let Some(metrics) = &self.metrics {
-            metrics.inflight.set(self.tasks.len() as i64);
+            metrics.inflight.set(self.units.len() as i64);
         }
     }
 
-    /// Pushes every forward parked by the last poll pass into the inner
+    /// Pushes every forward of the last stepping pass into the inner
     /// service, delivering the inner events after each push. Returns
     /// whether anything was forwarded.
     fn flush_forwards(&mut self) -> bool {
-        let forwards = std::mem::take(&mut self.core.lock().expect("gateway core").forwards);
+        let forwards = std::mem::take(&mut self.forwards);
         if forwards.is_empty() {
             return false;
         }
         let forwards = if self.config.coalesce { self.coalesce(forwards) } else { forwards };
         for forward in forwards {
-            match forward {
-                Forward::Single(id, request) => {
-                    let inner = self.inner.submit(request);
-                    self.tickets.insert(inner.0, Ticket(id));
-                    let mut core = self.core.lock().expect("gateway core");
-                    core.stats.forwarded += 1;
-                    core.stats.singles += 1;
-                    drop(core);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.forwarded.add(1);
-                    }
+            let (ids, inners, batch) = match forward {
+                Forward::Single(id, request) => (vec![id], vec![self.inner.submit(request)], false),
+                Forward::Batch(ids, requests) => (ids, self.inner.submit_batch(requests), true),
+            };
+            let count = ids.len() as u64;
+            for (inner, id) in inners.iter().zip(ids) {
+                self.tickets.insert(inner.0, Ticket(id));
+            }
+            self.stats.update(|s| {
+                s.forwarded += count;
+                if batch {
+                    s.batches += 1;
+                } else {
+                    s.singles += 1;
                 }
-                Forward::Batch(ids, requests) => {
-                    let count = ids.len() as u64;
-                    let inners = self.inner.submit_batch(requests);
-                    for (inner, id) in inners.iter().zip(ids) {
-                        self.tickets.insert(inner.0, Ticket(id));
-                    }
-                    let mut core = self.core.lock().expect("gateway core");
-                    core.stats.forwarded += count;
-                    core.stats.batches += 1;
-                    drop(core);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.forwarded.add(count);
-                        metrics.batches.add(1);
-                    }
+            });
+            if let Some(metrics) = &self.metrics {
+                metrics.forwarded.add(count);
+                if batch {
+                    metrics.batches.add(1);
                 }
             }
             let events = self.inner.take_events();
@@ -634,58 +535,55 @@ impl Gateway {
     /// Merges contiguous runs of single admissions into one batched
     /// wave each; other commands keep their position and break runs.
     fn coalesce(&mut self, forwards: Vec<Forward>) -> Vec<Forward> {
-        fn flush(
-            ids: &mut Vec<u64>,
-            requests: &mut Vec<Request>,
-            out: &mut Vec<Forward>,
-            core: &Arc<Mutex<Core>>,
-        ) {
-            match ids.len() {
-                0 => {}
-                1 => out.push(Forward::Single(ids.remove(0), requests.remove(0))),
-                n => {
-                    core.lock().expect("gateway core").stats.coalesced += n as u64;
-                    out.push(Forward::Batch(std::mem::take(ids), std::mem::take(requests)));
-                }
-            }
-        }
         let mut out = Vec::with_capacity(forwards.len());
-        let mut run_ids: Vec<u64> = Vec::new();
-        let mut run_requests: Vec<Request> = Vec::new();
+        let mut run: Vec<(u64, Request)> = Vec::new();
+        let flush = |run: &mut Vec<(u64, Request)>, out: &mut Vec<Forward>| match run.len() {
+            0 => {}
+            1 => out.extend(run.drain(..).map(|(id, request)| Forward::Single(id, request))),
+            n => {
+                self.stats.update(|s| s.coalesced += n as u64);
+                let (ids, requests) = run.drain(..).unzip();
+                out.push(Forward::Batch(ids, requests));
+            }
+        };
         for forward in forwards {
             match forward {
                 Forward::Single(id, request)
                     if matches!(request.command, Command::Admit { .. }) =>
                 {
-                    run_ids.push(id);
-                    run_requests.push(request);
+                    run.push((id, request));
                 }
                 other => {
-                    flush(&mut run_ids, &mut run_requests, &mut out, &self.core);
+                    flush(&mut run, &mut out);
                     out.push(other);
                 }
             }
         }
-        flush(&mut run_ids, &mut run_requests, &mut out, &self.core);
+        flush(&mut run, &mut out);
         out
     }
 
-    /// Translates inner events into the gateway ticket space, completes
-    /// tickets reaching their expected terminal event, feeds completion
-    /// streams, and either buffers the events for
+    /// Translates inner events into the gateway ticket space, retires
+    /// tickets reaching their expected terminal event (readying their
+    /// units), and either buffers the events for
     /// [`ResourceService::take_events`] (`to_outbox`) or returns them
     /// (the pump path).
     fn deliver(&mut self, events: Vec<Event>, to_outbox: bool) -> Vec<Event> {
         let mut out = Vec::with_capacity(events.len());
         for event in events {
+            let inner_subject = event.ticket();
             let event = self.translate(event);
             let subject = event.ticket();
-            self.core.lock().expect("gateway core").feed_stream(subject.0, &event);
             let terminal =
-                self.expects.get(&subject.0).is_some_and(|expect| expect.is_terminal(&event));
+                self.pending.get(&subject.0).is_some_and(|p| p.expect.is_terminal(&event));
             if terminal {
-                self.expects.remove(&subject.0);
                 self.finish(subject);
+            }
+            // A ticket's mapping retires with it; requeue tickets the
+            // inner service minted have no pending entry and retire at
+            // their admission outcome.
+            if terminal || matches!(event, Event::Admitted { .. } | Event::Rejected { .. }) {
+                self.tickets.remove(&inner_subject.0);
             }
             out.push(event);
         }
@@ -696,14 +594,21 @@ impl Gateway {
     }
 
     fn finish(&mut self, ticket: Ticket) {
-        if let Some(start) = self.started.remove(&ticket.0) {
-            if let Some(metrics) = &self.metrics {
-                metrics.completion.record(self.now.saturating_sub(start));
-            }
+        let Some(pending) = self.pending.remove(&ticket.0) else { return };
+        if let Some(metrics) = &self.metrics {
+            metrics.completion.record(self.now.saturating_sub(pending.accepted_at));
         }
-        let mut core = self.core.lock().expect("gateway core");
-        core.stats.completions += 1;
-        core.complete(ticket.0);
+        self.stats.update(|s| s.completions += 1);
+        self.ready.insert(pending.unit);
+    }
+
+    /// Unbounds the lanes and readies every parked unit, so the next
+    /// drive flushes them all.
+    fn drain(&mut self) {
+        self.draining = true;
+        for lane in &mut self.lanes {
+            self.ready.extend(std::mem::take(&mut lane.parked).into_values());
+        }
     }
 
     /// Rewrites every ticket field of `event` into the gateway ticket
@@ -791,13 +696,13 @@ impl ResourceService for Gateway {
                 // Unbound the lanes and flush every parked request into
                 // the inner service so its shutdown drain sees them;
                 // their events precede the drain's chronologically.
-                self.core.lock().expect("gateway core").drain();
+                self.drain();
                 let flushed = self.outbox.len();
                 self.drive();
                 let mut out = self.outbox.split_off(flushed);
                 let events = self.inner.pump(event);
                 out.extend(self.deliver(events, false));
-                // Retire the futures those completions woke (everything
+                // Retire the units those completions readied (everything
                 // is already flushed, so this forwards nothing new).
                 self.drive();
                 out
@@ -834,43 +739,6 @@ impl ResourceService for Gateway {
     }
 }
 
-/// The per-ticket event stream returned by [`Gateway::subscribe`]:
-/// yields every event correlated to the ticket, then ends after its
-/// terminal event. Dropping the stream unsubscribes.
-#[derive(Debug)]
-pub struct CompletionStream {
-    ticket: u64,
-    core: Arc<Mutex<Core>>,
-}
-
-impl Stream for CompletionStream {
-    type Item = Event;
-
-    fn poll_next(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Event>> {
-        let this = self.get_mut();
-        let mut core = this.core.lock().expect("gateway core");
-        let Some(sub) = core.streams.get_mut(&this.ticket) else {
-            return Poll::Ready(None);
-        };
-        if let Some(event) = sub.queue.pop_front() {
-            return Poll::Ready(Some(event));
-        }
-        if sub.done {
-            return Poll::Ready(None);
-        }
-        sub.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-impl Drop for CompletionStream {
-    fn drop(&mut self) {
-        if let Ok(mut core) = self.core.lock() {
-            core.streams.remove(&self.ticket);
-        }
-    }
-}
-
 // Compile-time thread-safety pin: the gateway is handed across threads
 // by serving drivers (and the sim's report finalizer holds its stats
 // handle); if any layer silently stopped being `Send`, that would
@@ -878,19 +746,17 @@ impl Drop for CompletionStream {
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Gateway>();
 const _: () = _assert_send::<GatewayStats>();
-const _: () = _assert_send::<CompletionStream>();
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use futures::executor::block_on;
-    use futures::StreamExt;
     use kairos_admitd::AdmitPolicy;
     use kairos_appgen::{AppGenerator, GeneratorConfig};
     use kairos_cluster::ClusterBuilder;
-    use kairos_platform::topology;
+    use kairos_platform::{topology, AppId};
     use kairos_svc::{PriorityClass, ServiceBuilder};
+    use proptest::prelude::*;
 
     fn direct_service() -> Box<dyn ResourceService + Send> {
         Box::new(ServiceBuilder::new(topology::crisp()).deterministic(true).build().unwrap())
@@ -945,8 +811,8 @@ mod tests {
         assert_eq!(sync.queue_depth(), gateway.queue_depth());
     }
 
-    /// Two identical async runs produce identical event streams and
-    /// counters — the executor's ticket-order ready queue at work.
+    /// Two identical deferred runs produce identical event streams and
+    /// counters — the scheduler's ticket-order ready set at work.
     #[test]
     fn double_runs_are_byte_identical() {
         let run = || {
@@ -962,7 +828,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Full lanes park request futures; the shutdown drain unbounds the
+    /// Full lanes park requests; the shutdown drain unbounds the
     /// lanes and flushes every parked request into the inner service.
     #[test]
     fn full_lanes_park_requests_until_drain() {
@@ -1010,30 +876,47 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A subscription streams the ticket's events and ends at its
-    /// terminal event.
+    /// A retired request leaves nothing behind: after shutdown no unit,
+    /// pending entry or inner-ticket mapping outlives its terminal event.
     #[test]
-    fn completion_streams_end_at_the_terminal_event() {
-        let mut gateway = Gateway::new(queued_service([8, 8, 16, 8]), GatewayConfig::default());
-        let mut requests = admits(2, 9);
-        let second = requests.pop().unwrap();
-        let ticket = gateway.enqueue(requests.pop().unwrap());
-        let mut stream = gateway.subscribe(ticket);
-        gateway.enqueue(second);
-        gateway.drive();
-        gateway.pump(CapacityEvent::Shutdown { now: 300 });
-        let mut kinds = Vec::new();
-        while let Some(event) = block_on(stream.next()) {
-            assert_eq!(event.ticket(), ticket);
-            kinds.push(match event {
-                Event::Queued { .. } => "queued",
-                Event::Admitted { .. } => "admitted",
-                Event::Rejected { .. } => "rejected",
-                _ => "other",
-            });
+    fn retired_requests_leave_no_per_request_state() {
+        let mut gateway = Gateway::new(direct_service(), GatewayConfig::default());
+        for request in admits(20_000, 42) {
+            gateway.enqueue(request);
         }
-        assert_eq!(kinds.first(), Some(&"queued"));
-        assert!(matches!(kinds.last(), Some(&"admitted") | Some(&"rejected")));
+        gateway.drive();
+        gateway.pump(CapacityEvent::Shutdown { now: 20_000 });
+        assert_eq!(gateway.stats().completions, 20_000);
+        assert!(gateway.units.is_empty());
+        assert!(gateway.ready.is_empty());
+        assert!(gateway.pending.is_empty());
+        assert!(gateway.tickets.is_empty());
+    }
+
+    /// Preemption requeue tickets the inner service mints retire at their
+    /// admission outcome, like accepted tickets at theirs.
+    #[test]
+    fn requeue_ticket_mappings_retire_with_their_outcome() {
+        let inner = ServiceBuilder::new(topology::crisp())
+            .deterministic(true)
+            .admission(AdmitPolicy {
+                class_capacity: [64, 64, 64, 64],
+                preemption: kairos_admitd::PreemptionPolicy::Evict,
+                ..AdmitPolicy::default()
+            })
+            .build()
+            .unwrap();
+        let mut gateway = Gateway::new(Box::new(inner), GatewayConfig::default());
+        let mut generator = AppGenerator::new(GeneratorConfig::default(), 21);
+        for i in 0..60u64 {
+            let class = if i % 4 == 3 { PriorityClass::Critical } else { PriorityClass::Low };
+            gateway.submit(Request::admit(i, generator.generate(format!("p{i}")), class));
+        }
+        gateway.pump(CapacityEvent::Shutdown { now: 1_000 });
+        let events = gateway.take_events();
+        assert!(events.iter().any(|e| matches!(e, Event::Preempted { .. })), "{events:?}");
+        assert!(gateway.pending.is_empty());
+        assert!(gateway.tickets.is_empty());
     }
 
     /// Lanes stripe one-per-shard over a clustered inner service.
@@ -1062,6 +945,226 @@ mod tests {
         assert_eq!(stats.coalesced, 12, "one pass coalesces the whole run");
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.completions, 12);
+    }
+
+    /// What reached the inner service, as seen by [`Recorder`]: every
+    /// forward's request tags (`Request::at`, unique per accepted
+    /// request) in order, and after each forward the tags of requests
+    /// forwarded but not yet at their terminal event.
+    #[derive(Debug, Default)]
+    struct Log {
+        forwarded: Vec<u64>,
+        open_after_forward: Vec<Vec<u64>>,
+        open: BTreeMap<u64, u64>,
+        draining: bool,
+    }
+
+    /// A pass-through [`ResourceService`] that logs forwards and
+    /// terminal events into a shared [`Log`].
+    #[derive(Debug)]
+    struct Recorder {
+        inner: Box<dyn ResourceService + Send>,
+        log: Arc<Mutex<Log>>,
+    }
+
+    impl Recorder {
+        fn note_forward(&mut self, tickets: &[Ticket], tags: Vec<u64>) {
+            let mut log = self.log.lock().unwrap();
+            log.forwarded.extend(&tags);
+            log.open.extend(tickets.iter().map(|t| t.0).zip(tags));
+            if !log.draining {
+                let open = log.open.values().copied().collect();
+                log.open_after_forward.push(open);
+            }
+        }
+
+        fn note_events(&self, events: Vec<Event>) -> Vec<Event> {
+            let mut log = self.log.lock().unwrap();
+            for event in &events {
+                if matches!(
+                    event,
+                    Event::Admitted { .. } | Event::Rejected { .. } | Event::Released { .. }
+                ) {
+                    log.open.remove(&event.ticket().0);
+                }
+            }
+            events
+        }
+    }
+
+    impl ResourceService for Recorder {
+        fn submit(&mut self, request: Request) -> Ticket {
+            let tag = request.at;
+            let ticket = self.inner.submit(request);
+            self.note_forward(&[ticket], vec![tag]);
+            ticket
+        }
+
+        fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
+            let tags = requests.iter().map(|r| r.at).collect();
+            let tickets = self.inner.submit_batch(requests);
+            self.note_forward(&tickets, tags);
+            tickets
+        }
+
+        fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
+            let events = self.inner.pump(event);
+            self.note_events(events)
+        }
+
+        fn take_events(&mut self) -> Vec<Event> {
+            let events = self.inner.take_events();
+            self.note_events(events)
+        }
+
+        fn kairos(&self) -> &Kairos {
+            self.inner.kairos()
+        }
+
+        fn queue_depth(&self) -> usize {
+            self.inner.queue_depth()
+        }
+
+        fn shard_count(&self) -> usize {
+            self.inner.shard_count()
+        }
+    }
+
+    /// Runs `ops` — `(kind, n)`: admit, release, a batch of `n`, drive or
+    /// tick — through a gateway over a recorded `shards`-shard cluster,
+    /// ends with `Shutdown`, and checks the lane model: singles
+    /// on one lane forward in ticket order, no lane holds more than
+    /// `capacity` unfinished forwards before draining, every accepted
+    /// ticket sees exactly one terminal event, and the counters balance.
+    fn check_lane_model(
+        seed: u64,
+        shards: usize,
+        capacity: usize,
+        coalesce: bool,
+        queued: bool,
+        ops: &[(u8, usize)],
+    ) -> Result<(), String> {
+        let mut builder = ClusterBuilder::new(topology::crisp(), shards).deterministic(true);
+        if queued {
+            builder = builder.admission(AdmitPolicy {
+                class_capacity: [4, 4, 4, 4],
+                max_wait: Some(30),
+                max_attempts: 3,
+                backoff_base: 1,
+                backoff_cap: 4,
+                ..AdmitPolicy::default()
+            });
+        }
+        let log = Arc::new(Mutex::new(Log::default()));
+        let recorder = Recorder { inner: Box::new(builder.build()?), log: Arc::clone(&log) };
+        let config = GatewayConfig { channel_capacity: capacity, coalesce };
+        let mut gateway = Gateway::new(Box::new(recorder), config);
+        let lanes = gateway.lane_count() as u64;
+        let mut generator = AppGenerator::new(GeneratorConfig::default(), seed);
+
+        // tag → (gateway ticket, accepted as a single, expects a release)
+        let mut accepted: BTreeMap<u64, (u64, bool, bool)> = BTreeMap::new();
+        let mut events = Vec::new();
+        let mut admitted_apps = Vec::new();
+        let mut now = 0u64;
+        for &(kind, n) in ops {
+            match kind {
+                0 | 1 => {
+                    now += 1;
+                    let app = generator.generate(format!("a{now}"));
+                    let ticket = gateway.enqueue(Request::admit(now, app, PriorityClass::Normal));
+                    accepted.insert(now, (ticket.0, true, false));
+                }
+                2 => {
+                    now += 1;
+                    let app = admitted_apps.pop().unwrap_or(AppId(999_999));
+                    let ticket = gateway.enqueue(Request::release(now, app));
+                    accepted.insert(now, (ticket.0, true, true));
+                }
+                3 => {
+                    let requests: Vec<Request> = (1..=n as u64)
+                        .map(|i| {
+                            let app = generator.generate(format!("b{}", now + i));
+                            Request::admit(now + i, app, PriorityClass::Normal)
+                        })
+                        .collect();
+                    for (i, ticket) in gateway.enqueue_batch(requests).into_iter().enumerate() {
+                        accepted.insert(now + 1 + i as u64, (ticket.0, false, false));
+                    }
+                    now += n as u64;
+                }
+                4 => gateway.drive(),
+                _ => {
+                    now += 5;
+                    events.extend(gateway.pump(CapacityEvent::Tick { now }));
+                }
+            }
+            let fresh = gateway.take_events();
+            for event in &fresh {
+                if let Event::Admitted { report, .. } = event {
+                    admitted_apps.push(report.app_id);
+                }
+            }
+            events.extend(fresh);
+        }
+        log.lock().unwrap().draining = true;
+        events.extend(gateway.pump(CapacityEvent::Shutdown { now: now + 1_000 }));
+        events.extend(gateway.take_events());
+
+        let log = log.lock().unwrap();
+        let lane_of = |tag: &u64| accepted[tag].0 % lanes;
+        for lane in 0..lanes {
+            let singles: Vec<u64> = log
+                .forwarded
+                .iter()
+                .filter(|tag| accepted[tag].1 && lane_of(tag) == lane)
+                .map(|tag| accepted[tag].0)
+                .collect();
+            prop_assert!(
+                singles.windows(2).all(|w| w[0] < w[1]),
+                "lane {lane} forwarded singles out of ticket order: {singles:?}"
+            );
+            for open in &log.open_after_forward {
+                let held = open.iter().filter(|tag| lane_of(tag) == lane).count();
+                prop_assert!(held <= capacity, "lane {lane} held {held} > {capacity}");
+            }
+        }
+        for (tag, &(ticket, _, release)) in &accepted {
+            let terminals = events
+                .iter()
+                .filter(|event| event.ticket().0 == ticket)
+                .filter(|event| match event {
+                    Event::Released { .. } => release,
+                    Event::Admitted { .. } | Event::Rejected { .. } => !release,
+                    _ => false,
+                })
+                .count();
+            prop_assert_eq!(terminals, 1, "request tagged {} (ticket {})", tag, ticket);
+        }
+        let stats = gateway.stats();
+        prop_assert_eq!(stats.submitted, accepted.len() as u64);
+        prop_assert_eq!(stats.forwarded, stats.submitted);
+        prop_assert_eq!(stats.completions, stats.submitted);
+        prop_assert_eq!(gateway.inflight(), 0);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random enqueue / batch / drive / tick interleavings over small
+        /// lanes agree with the independent lane model.
+        #[test]
+        fn random_interleavings_respect_the_lane_model(
+            seed in any::<u64>(),
+            shards in 1usize..4,
+            capacity in 1usize..5,
+            coalesce in any::<bool>(),
+            queued in any::<bool>(),
+            ops in proptest::collection::vec((0u8..6, 1usize..5), 1..40),
+        ) {
+            check_lane_model(seed, shards, capacity, coalesce, queued, &ops)?;
+        }
     }
 
     /// The stats handle reads counters after the gateway is gone.

@@ -246,7 +246,8 @@ pub struct GatewayReport {
     pub coalesced: u64,
     /// Requests that reached their terminal completion event.
     pub completions: u64,
-    /// Most gateway futures ever simultaneously in flight.
+    /// Most accepted gateway units (a request, or a whole batch) ever
+    /// simultaneously in flight.
     pub peak_inflight: u64,
     /// Requests that found their lane full and parked for a free slot.
     pub parked: u64,

@@ -39,13 +39,11 @@
 //!   shard-id order, pluggable placement policies (first-fit /
 //!   best-fit-by-fragmentation / least-loaded) and cross-shard
 //!   rebalancing sweeps;
-//! * [`gateway`] — the async serving front-end: a decorator over any
+//! * [`gateway`] — the serving front-end: a decorator over any
 //!   `ResourceService` that streams admissions through per-shard bounded
-//!   request lanes on a hand-rolled deterministic single-threaded
-//!   executor (the `futures` shim), keeps tens of thousands of requests
-//!   in flight, exposes per-ticket completion streams, and stays
-//!   byte-identical to driving the service directly under the default
-//!   knobs;
+//!   request lanes on a deterministic ticket-ordered scheduler, keeps
+//!   tens of thousands of requests in flight, and stays byte-identical
+//!   to driving the service directly under the default knobs;
 //! * [`sim`] — a deterministic discrete-event scenario engine driving the
 //!   service through long-running multi-application workloads with
 //!   arrivals (lone or in batched waves), departures and element faults,

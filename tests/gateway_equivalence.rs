@@ -104,6 +104,20 @@ fn backpressure_scenario_parks_requests_and_still_drains() {
         "the shutdown drain must flush every parked request"
     );
     assert!(counters.peak_inflight > 4, "parked requests stay in flight beyond the lane bound");
+    // The exact counters pin the lane handoff order: parking is
+    // deterministic, so any change to which waiter a freed slot wakes
+    // shows up here.
+    let exact = (
+        counters.submitted,
+        counters.forwarded,
+        counters.singles,
+        counters.completions,
+        counters.batches,
+        counters.coalesced,
+        counters.peak_inflight,
+        counters.parked,
+    );
+    assert_eq!(exact, (182, 182, 182, 182, 0, 0, 173, 174));
     assert_eq!(
         report.totals.arrivals,
         report.totals.admissions + report.totals.rejections,

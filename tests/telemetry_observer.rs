@@ -237,7 +237,7 @@ fn gateway_instruments_are_visible_and_observer_safe() {
         counters.completions,
         "every completion must land in the latency histogram"
     );
-    // One depth gauge per cluster shard lane, and the executor's
+    // One depth gauge per cluster shard lane, and the scheduler's
     // in-flight gauge, all drained to zero by the shutdown flush.
     for name in [
         "kairos.gateway.inflight",
