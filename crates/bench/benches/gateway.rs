@@ -24,7 +24,7 @@ use std::time::Instant;
 use kairos_admitd::PriorityClass;
 use kairos_app::Application;
 use kairos_appgen::{DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix, WorkloadSampler};
-use kairos_bench::print_table;
+use kairos_bench::{median_iqr, print_table};
 use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::topology;
@@ -112,13 +112,6 @@ fn probe_waves(apps: &[Application]) -> (u64, u64) {
     sync_run(Box::new(cluster(sync_hub.clone())), apps);
     gateway_run(coalescing(cluster(wave_hub.clone())), apps);
     (waves(&sync_hub), waves(&wave_hub))
-}
-
-/// Median and interquartile range (nearest-rank quartiles).
-fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
-    xs.sort_by(f64::total_cmp);
-    let q = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
-    (q(0.5), q(0.75) - q(0.25))
 }
 
 fn main() {

@@ -6,72 +6,26 @@
 //! phase span becomes a `SpanRecord` behind the sink mutex. The design
 //! budget is still "a disabled handle is one pointer test per site", and
 //! an enabled one a short critical section appending to a `Vec`. This
-//! bench drives deterministic scenarios dark and lit and asserts the
-//! same generous bounded-slowdown smoke gate as the telemetry bench, so
-//! a regression that makes span recording expensive fails the build.
+//! bench drives deterministic scenarios dark and lit over paired trials
+//! that alternate which side runs first, and gates the median slowdown
+//! with the same generous budget as the telemetry bench, so a regression
+//! that makes span recording expensive fails the build.
 
-use std::time::Instant;
-
-use kairos_bench::print_table;
-use kairos_sim::{Scenario, Simulator};
-
-/// Scenarios paired dark/lit: one queued monolithic regime, one sharded
-/// probe-heavy regime, and the catalog's own traced preemption storm.
-const SCENARIOS: &[&str] =
-    &["overload-backpressure", "sharded-arrival-storm", "traced-preemption-storm"];
-
-fn timed_run(scenario: &Scenario) -> (f64, u64) {
-    let start = Instant::now();
-    let report = Simulator::new(scenario.clone()).expect("catalog scenario is valid").run();
-    (start.elapsed().as_secs_f64(), report.totals.arrivals)
-}
+mod overhead;
 
 fn main() {
-    let mut rows = Vec::new();
-    let mut worst_ratio = 0.0f64;
-    for name in SCENARIOS {
-        let mut dark = Scenario::by_name(name).expect("catalog scenario");
-        dark.telemetry = false;
-        dark.trace = false;
-        let mut lit = dark.clone();
-        lit.trace = true;
-
-        // Warm up both variants, then interleave measured runs so page
-        // cache and frequency drift hit both sides evenly.
-        timed_run(&dark);
-        timed_run(&lit);
-        let mut dark_secs = 0.0;
-        let mut lit_secs = 0.0;
-        let mut arrivals = 0;
-        for _ in 0..3 {
-            let (d, a) = timed_run(&dark);
-            let (l, _) = timed_run(&lit);
-            dark_secs += d;
-            lit_secs += l;
-            arrivals = a;
-        }
-
-        let ratio = lit_secs / dark_secs;
-        worst_ratio = worst_ratio.max(ratio);
-        rows.push(vec![
-            (*name).to_string(),
-            arrivals.to_string(),
-            format!("{:.2}", dark_secs * 1e3 / 3.0),
-            format!("{:.2}", lit_secs * 1e3 / 3.0),
-            format!("{ratio:.2}x"),
-        ]);
-    }
-    print_table(
+    // One queued monolithic regime, one sharded probe-heavy regime, and
+    // the catalog's own traced preemption storm.
+    overhead::gate(
+        "tracing",
         "Tracing overhead: identical runs, span recording off vs on",
-        &["scenario", "arrivals", "dark (ms)", "lit (ms)", "slowdown"],
-        &rows,
+        &["overload-backpressure", "sharded-arrival-storm", "traced-preemption-storm"],
+        |mut dark| {
+            dark.telemetry = false;
+            dark.trace = false;
+            let mut lit = dark.clone();
+            lit.trace = true;
+            (dark, lit)
+        },
     );
-    println!("\nworst slowdown {worst_ratio:.2}x (1.00x = free)");
-
-    // Smoke gate: same loose 3x budget as the telemetry bench — CI
-    // machines are noisy and the runs are short, but a 3x regression
-    // means span recording started doing real work per event (or a
-    // disabled site stopped being a pointer test) and must fail loudly.
-    assert!(worst_ratio < 3.0, "tracing slowdown {worst_ratio:.2}x exceeds the 3x smoke budget");
-    println!("smoke gate: worst slowdown within the 3x budget");
 }

@@ -7,72 +7,28 @@
 //! run must pay nothing, and a watched one a bounded per-sample sweep.
 //! This bench drives the same deterministic scenarios dark (no `watch`,
 //! no `power`) and lit (default watch policy, which implies energy
-//! metering) and reports the paired wall times; CI runs it in smoke mode
-//! and asserts a generous bounded-slowdown gate so regressions that make
-//! monitoring expensive fail loudly.
+//! metering) over paired trials that alternate which side runs first;
+//! CI runs it in smoke mode and gates the median slowdown with a
+//! generous budget, so regressions that make monitoring expensive fail
+//! loudly.
 
-use std::time::Instant;
+use kairos_sim::WatchSpec;
 
-use kairos_bench::print_table;
-use kairos_sim::{Scenario, Simulator, WatchSpec};
-
-/// Scenarios paired dark/lit: one queued monolithic regime, one sharded
-/// probe-heavy regime, and the catalog's own SLO-burn scenario.
-const SCENARIOS: &[&str] = &["overload-backpressure", "sharded-arrival-storm", "slo-burn-storm"];
-
-fn timed_run(scenario: &Scenario) -> (f64, u64) {
-    let start = Instant::now();
-    let report = Simulator::new(scenario.clone()).expect("catalog scenario is valid").run();
-    (start.elapsed().as_secs_f64(), report.totals.arrivals)
-}
+mod overhead;
 
 fn main() {
-    let mut rows = Vec::new();
-    let mut worst_ratio = 0.0f64;
-    for name in SCENARIOS {
-        let mut dark = Scenario::by_name(name).expect("catalog scenario");
-        dark.watch = None;
-        dark.power = None;
-        let mut lit = dark.clone();
-        lit.watch = Some(WatchSpec::default());
-
-        // Warm up both variants, then interleave measured runs so page
-        // cache and frequency drift hit both sides evenly.
-        timed_run(&dark);
-        timed_run(&lit);
-        let mut dark_secs = 0.0;
-        let mut lit_secs = 0.0;
-        let mut arrivals = 0;
-        for _ in 0..3 {
-            let (d, a) = timed_run(&dark);
-            let (l, _) = timed_run(&lit);
-            dark_secs += d;
-            lit_secs += l;
-            arrivals = a;
-        }
-
-        let ratio = lit_secs / dark_secs;
-        worst_ratio = worst_ratio.max(ratio);
-        rows.push(vec![
-            (*name).to_string(),
-            arrivals.to_string(),
-            format!("{:.2}", dark_secs * 1e3 / 3.0),
-            format!("{:.2}", lit_secs * 1e3 / 3.0),
-            format!("{ratio:.2}x"),
-        ]);
-    }
-    print_table(
+    // One queued monolithic regime, one sharded probe-heavy regime, and
+    // the catalog's own SLO-burn scenario.
+    overhead::gate(
+        "watch",
         "Watch overhead: identical runs, energy/health layer off vs on",
-        &["scenario", "arrivals", "dark (ms)", "lit (ms)", "slowdown"],
-        &rows,
+        &["overload-backpressure", "sharded-arrival-storm", "slo-burn-storm"],
+        |mut dark| {
+            dark.watch = None;
+            dark.power = None;
+            let mut lit = dark.clone();
+            lit.watch = Some(WatchSpec::default());
+            (dark, lit)
+        },
     );
-    println!("\nworst slowdown {worst_ratio:.2}x (1.00x = free)");
-
-    // Smoke gate: watching must never multiply the cost of a run. The
-    // bound is deliberately loose — CI machines are noisy and the runs
-    // are short — but a 3x regression means the per-sample sweep or the
-    // event observer started doing real work per event and must fail
-    // the build.
-    assert!(worst_ratio < 3.0, "watch slowdown {worst_ratio:.2}x exceeds the 3x smoke budget");
-    println!("smoke gate: worst slowdown within the 3x budget");
 }

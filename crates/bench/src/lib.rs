@@ -300,10 +300,80 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Median and interquartile range of `xs` (nearest-rank quartiles): how
+/// the wall-clock gates summarise repeated trials.
+pub fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let q = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
+    (q(0.5), q(0.75) - q(0.25))
+}
+
+/// Summary of [`paired_trials`]: median wall times of each side and the
+/// median and IQR of the per-pair `lit / dark` ratio.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedTrials {
+    /// Median wall time of the dark runs, in seconds.
+    pub dark: f64,
+    /// Median wall time of the lit runs, in seconds.
+    pub lit: f64,
+    /// Median of the per-pair `lit / dark` ratios.
+    pub ratio: f64,
+    /// Interquartile range of those ratios.
+    pub ratio_iqr: f64,
+}
+
+/// Runs `trials` paired trials of two variants of one workload, each
+/// closure timing one run and returning its wall time. Even trials run
+/// `dark` first and odd trials `lit` first, so drift in the host's speed
+/// hits both sides evenly.
+pub fn paired_trials(
+    trials: usize,
+    mut dark: impl FnMut() -> f64,
+    mut lit: impl FnMut() -> f64,
+) -> PairedTrials {
+    let pairs: Vec<(f64, f64)> = (0..trials)
+        .map(|trial| {
+            if trial % 2 == 0 {
+                let d = dark();
+                (d, lit())
+            } else {
+                let l = lit();
+                (dark(), l)
+            }
+        })
+        .collect();
+    let (ratio, ratio_iqr) = median_iqr(pairs.iter().map(|(d, l)| l / d).collect());
+    PairedTrials {
+        dark: median_iqr(pairs.iter().map(|p| p.0).collect()).0,
+        lit: median_iqr(pairs.iter().map(|p| p.1).collect()).0,
+        ratio,
+        ratio_iqr,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kairos_platform::topology;
+
+    #[test]
+    fn paired_trials_alternate_sides_and_take_medians() {
+        assert_eq!(median_iqr(vec![5.0, 1.0, 3.0, 2.0, 4.0]), (3.0, 2.0));
+        let order = std::cell::RefCell::new(Vec::new());
+        let trials = paired_trials(
+            4,
+            || {
+                order.borrow_mut().push('d');
+                1.0
+            },
+            || {
+                order.borrow_mut().push('l');
+                2.0
+            },
+        );
+        assert_eq!(order.into_inner(), ['d', 'l', 'l', 'd', 'd', 'l', 'l', 'd']);
+        assert_eq!(trials, PairedTrials { dark: 1.0, lit: 2.0, ratio: 2.0, ratio_iqr: 0.0 });
+    }
 
     #[test]
     fn shuffled_orders_are_permutations_and_deterministic() {

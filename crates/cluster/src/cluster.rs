@@ -7,8 +7,7 @@ use std::sync::Arc;
 use kairos_admitd::{AdmitPolicy, PriorityClass};
 use kairos_app::Application;
 use kairos_core::{
-    AdmissionProbe, CacheStats, ElementActivity, Kairos, KairosConfig, OccupancySnapshot,
-    DURATION_NS_BOUNDS,
+    CacheStats, ElementActivity, Kairos, KairosConfig, OccupancySnapshot, DURATION_NS_BOUNDS,
 };
 use kairos_platform::{adjacent_pairs, AppId, ElementId, Platform, RegionMap};
 use kairos_svc::{
@@ -40,9 +39,11 @@ struct Shard {
     service: Option<KairosService>,
     /// Local element index → global element id.
     globals: Vec<ElementId>,
-    /// Shard-service ticket → cluster ticket. Entries are never removed:
-    /// a ticket may be referenced by later events (a requeued victim's
-    /// admission).
+    /// Shard-service ticket → cluster ticket, for requests not yet at
+    /// their terminal event. An admission's mapping (a shard-minted
+    /// requeue ticket's too) is dropped at its `Admitted`/`Rejected`;
+    /// every other command resolves inside its own shard submission, so
+    /// its mapping is dropped once that submission's events are drained.
     tickets: BTreeMap<u64, Ticket>,
 }
 
@@ -77,7 +78,14 @@ fn translate_events(next: &mut u64, shard: &mut Shard, events: Vec<Event>) -> Ve
         tickets.insert(ticket.0, minted);
         minted
     };
-    events
+    // An admission outcome is its ticket's last event (a requeue
+    // ticket's too), so the mapping ends there.
+    let outcomes: Vec<u64> = events
+        .iter()
+        .filter(|event| matches!(event, Event::Admitted { .. } | Event::Rejected { .. }))
+        .map(|event| event.ticket().0)
+        .collect();
+    let translated = events
         .into_iter()
         .map(|event| match event {
             Event::Queued { ticket, class, depth } => {
@@ -115,7 +123,11 @@ fn translate_events(next: &mut u64, shard: &mut Shard, events: Vec<Event>) -> Ve
             Event::Defragged { ticket, moves } => Event::Defragged { ticket: t(ticket), moves },
             Event::Rebalanced { ticket, moves } => Event::Rebalanced { ticket: t(ticket), moves },
         })
-        .collect()
+        .collect();
+    for ticket in outcomes {
+        tickets.remove(&ticket);
+    }
+    translated
 }
 
 /// Builds a [`ClusterService`]: the platform, the shard count, and the
@@ -245,11 +257,7 @@ impl ClusterBuilder {
         // One-shard clusters probe inline (monolithic byte-identity), so
         // the pool only exists where a fan-out actually happens.
         let pool = (region.region_count() > 1).then(|| {
-            ProbePool::new(
-                region.region_count(),
-                &self.telemetry,
-                metrics.as_ref().map(|m| m.probe_ns.as_slice()),
-            )
+            ProbePool::new(region.region_count(), metrics.as_ref().map(|m| m.probe_ns.as_slice()))
         });
         Ok(ClusterService {
             shards,
@@ -336,14 +344,15 @@ pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_00
 /// Pre-resolved registry handles for the cluster layer, built once at
 /// construction. The per-shard probe histograms are recorded from inside
 /// the pool's worker threads; that stays deterministic under the zero
-/// clock because every recorded duration is `0` and atomic increments
+/// phase clock because every recorded duration is `0` and atomic increments
 /// commute, so the snapshot is a pure function of the probe count —
 /// independent of thread scheduling and of whether telemetry is lit.
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
     probe_waves: Arc<Counter>,
     probes: Arc<Counter>,
-    /// Per-shard probe latency, indexed by shard id.
+    /// Per-shard probe pipeline time (each probe's phase-timing total),
+    /// indexed by shard id.
     probe_ns: Vec<Arc<Histogram>>,
     /// Fragmentation score of every fitting probe, scaled by `1e6`.
     score_fragmentation: Arc<Histogram>,
@@ -443,37 +452,13 @@ impl ClusterService {
     /// back.
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
         let _span = self.telemetry.span("kairos_cluster", "probe_admit");
-        let metrics = &self.metrics;
-        let telemetry = &self.telemetry;
-        if let Some(m) = metrics {
-            m.probe_waves.inc();
-            m.probes.add(self.shards.len() as u64);
-        }
-        let row = if self.shards.len() == 1 {
-            let start = telemetry.clock();
-            let fit = fit_of(self.shards[0].svc_mut().probe_admit(app).ok());
-            if let Some(m) = &self.metrics {
-                m.probe_ns[0].record(Telemetry::elapsed_ns(start));
-            }
-            vec![ShardProbe { shard: 0, fit }]
-        } else {
-            let per_shard = self.fan_out(&[app]);
-            per_shard
-                .into_iter()
-                .enumerate()
-                .map(|(shard, mut fits)| ShardProbe { shard, fit: fits.pop().flatten() })
-                .collect()
-        };
-        if let Some(m) = &self.metrics {
-            m.note_fits(&row);
-        }
-        row
+        self.probe_rows(&[app]).pop().expect("one row per application")
     }
 
     /// Probes every shard with a state-neutral what-if admission of a
-    /// whole arrival wave: one scoped thread per shard probes *all* of
-    /// `apps` against its region, so the fan-out cost is one thread per
-    /// shard per wave instead of per application. Returns one shard-id-
+    /// whole arrival wave: each shard's worker probes *all* of `apps`
+    /// against its region, so the fan-out cost is one hand-off per shard
+    /// per wave instead of per application. Returns one shard-id-
     /// ordered probe row per application, identical to calling
     /// [`ClusterService::probe_admit`] per app (probes are state-neutral,
     /// so the rows are independent) — this is what batched submission
@@ -489,35 +474,34 @@ impl ClusterService {
     /// requests being placed).
     fn probe_wave(&mut self, apps: &[&Application]) -> Vec<Vec<ShardProbe>> {
         let _span = self.telemetry.span("kairos_cluster", "probe_wave");
-        let metrics = &self.metrics;
-        let telemetry = &self.telemetry;
-        if let Some(m) = metrics {
+        self.probe_rows(apps)
+    }
+
+    /// The probe fan-out behind [`Self::probe_admit`] and
+    /// [`Self::probe_wave`]: a one-shard cluster probes inline, a
+    /// multi-shard one on its [`ProbePool`]. Returns one shard-id-ordered
+    /// row per application.
+    fn probe_rows(&mut self, apps: &[&Application]) -> Vec<Vec<ShardProbe>> {
+        if let Some(m) = &self.metrics {
             m.probe_waves.inc();
             m.probes.add((self.shards.len() * apps.len()) as u64);
         }
-        let rows: Vec<Vec<ShardProbe>> = if self.shards.len() == 1 {
-            apps.iter()
-                .map(|app| {
-                    let start = telemetry.clock();
-                    let fit = fit_of(self.shards[0].svc_mut().probe_admit(app).ok());
-                    if let Some(m) = &self.metrics {
-                        m.probe_ns[0].record(Telemetry::elapsed_ns(start));
-                    }
-                    vec![ShardProbe { shard: 0, fit }]
-                })
-                .collect()
+        let per_shard = if self.shards.len() == 1 {
+            let probe_ns = self.metrics.as_ref().map(|m| m.probe_ns[0].as_ref());
+            let service = self.shards[0].svc_mut();
+            vec![apps.iter().map(|app| probe_shard(service, app, probe_ns)).collect()]
         } else {
-            let per_shard = self.fan_out(apps);
-            (0..apps.len())
-                .map(|a| {
-                    per_shard
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, fits)| ShardProbe { shard, fit: fits[a] })
-                        .collect()
-                })
-                .collect()
+            self.fan_out(apps)
         };
+        let rows: Vec<Vec<ShardProbe>> = (0..apps.len())
+            .map(|a| {
+                per_shard
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, fits)| ShardProbe { shard, fit: fits[a] })
+                    .collect()
+            })
+            .collect();
         if let Some(m) = &self.metrics {
             for row in &rows {
                 m.note_fits(row);
@@ -526,10 +510,10 @@ impl ClusterService {
         rows
     }
 
-    /// The multi-shard fan-out behind [`Self::probe_admit`] and
-    /// [`Self::probe_wave`]: every shard probes the whole wave on its
-    /// [`ProbePool`] worker, timings recorded inside the workers, fit rows
-    /// merged in shard-id order (outer index = shard).
+    /// The multi-shard half of [`Self::probe_rows`]: every shard probes
+    /// the whole wave on its [`ProbePool`] worker, timings recorded inside
+    /// the workers, fit rows merged in shard-id order (outer index =
+    /// shard).
     fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
         let pool = self.pool.as_ref().expect("multi-shard clusters own a probe pool");
         // Ownership transfer: lend each shard's manager to its persistent
@@ -578,7 +562,15 @@ impl ClusterService {
             return 0;
         }
         let probes = self.probe_admit(app);
-        let (shard, fell_back) = match self.policy.choose(&probes) {
+        let shard = self.choose(&probes);
+        self.trace_probes(ctx, at, &probes, shard);
+        shard
+    }
+
+    /// The policy's pick for one probe row, or its fallback shard when
+    /// no shard fits; counted as one placement (and one fallback).
+    fn choose(&self, probes: &[ShardProbe]) -> usize {
+        let (shard, fell_back) = match self.policy.choose(probes) {
             Some(shard) => (shard, false),
             None => (self.policy.fallback(&self.loads()), true),
         };
@@ -588,7 +580,6 @@ impl ClusterService {
                 m.fallbacks.inc();
             }
         }
-        self.trace_probes(ctx, at, &probes, shard);
         shard
     }
 
@@ -619,12 +610,17 @@ impl ClusterService {
     }
 
     /// Submits `request` to `shard` under the cluster ticket `ticket` and
-    /// drains the fallout.
+    /// drains the fallout. A non-admission command's terminal event is
+    /// part of that fallout, so its ticket mapping ends with the drain.
     fn forward(&mut self, shard: usize, ticket: Ticket, request: Request) {
+        let admission = matches!(request.command, Command::Admit { .. });
         let s = &mut self.shards[shard];
         let shard_ticket = s.svc_mut().submit(request);
         s.tickets.insert(shard_ticket.0, ticket);
         self.drain_shard(shard);
+        if !admission {
+            self.shards[shard].tickets.remove(&shard_ticket.0);
+        }
     }
 
     /// Performs one command under an already-allocated cluster ticket.
@@ -695,6 +691,7 @@ impl ClusterService {
                     other => tail.push(other),
                 }
             }
+            s.tickets.remove(&shard_ticket.0);
         }
         self.events.push(Event::Defragged { ticket, moves });
         self.events.extend(tail);
@@ -843,12 +840,31 @@ impl ClusterService {
     }
 }
 
-pub(crate) fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
-    probe.map(|p| ShardFit {
-        fragmentation: p.after.external_fragmentation,
-        resource_utilisation: p.after.resource_utilisation,
-        free_islands: p.after.free_islands,
-    })
+/// One shard's what-if admission of `app`: the probe-and-time step of
+/// every fan-out, inline or on a pool worker. The probe's own pipeline
+/// time ([`kairos_core::PhaseTimings::total`], measured on the shard's phase clock and
+/// so zero under [`KairosConfig::deterministic`]) lands in the shard's
+/// `probe_ns` histogram when telemetry is lit.
+pub(crate) fn probe_shard(
+    service: &mut KairosService,
+    app: &Application,
+    probe_ns: Option<&Histogram>,
+) -> Option<ShardFit> {
+    let (fit, timings) = match service.probe_admit(app) {
+        Ok(probe) => (
+            Some(ShardFit {
+                fragmentation: probe.after.external_fragmentation,
+                resource_utilisation: probe.after.resource_utilisation,
+                free_islands: probe.after.free_islands,
+            }),
+            probe.timings,
+        ),
+        Err(failure) => (None, failure.timings),
+    };
+    if let Some(hist) = probe_ns {
+        hist.record(u64::try_from(timings.total().as_nanos()).unwrap_or(u64::MAX));
+    }
+    fit
 }
 
 impl ResourceService for ClusterService {
@@ -908,10 +924,7 @@ impl ResourceService for ClusterService {
             let probes = self.probe_wave(&apps);
             drop(apps);
             for ((ticket, at, app, class, ctx), row) in admissions.into_iter().zip(probes) {
-                let target = match self.policy.choose(&row) {
-                    Some(shard) => shard,
-                    None => self.policy.fallback(&self.loads()),
-                };
+                let target = self.choose(&row);
                 self.trace_probes(ctx, at, &row, target);
                 waves[target].push((ticket, Request::admit(at, app, class).with_trace(ctx)));
             }
@@ -1034,6 +1047,7 @@ mod tests {
     use crate::policy::{BestFitFragmentation, LeastLoaded};
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
     use kairos_platform::{topology, ElementKind, ResourceVector};
+    use kairos_telemetry::TelemetryConfig;
 
     fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
         let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 50, 1);
@@ -1406,5 +1420,120 @@ mod tests {
         assert!(occ.element_utilisation > 0.0 && occ.element_utilisation < 1.0);
         assert!(occ.resource_utilisation > 0.0);
         assert_eq!(cluster.shard_count_admitted(), 4);
+    }
+
+    /// Batched waves count their placements exactly like single
+    /// submissions: one per admission, plus a fallback when no shard fits.
+    #[test]
+    fn batched_placements_are_counted() {
+        let telemetry = Telemetry::new(TelemetryConfig::default());
+        let mut cluster = ClusterBuilder::new(topology::crisp(), 2)
+            .deterministic(true)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        let mut wave: Vec<Request> = (0..6)
+            .map(|i| Request::admit(i, chain(&format!("b{i}"), 2, 600), PriorityClass::Normal))
+            .collect();
+        wave.push(Request::admit(6, chain("hopeless", 1, 100_000), PriorityClass::Normal));
+        cluster.submit_batch(wave);
+        let count = |name: &str| telemetry.counter(name).unwrap().get();
+        assert_eq!(count("kairos.cluster.placements"), 7);
+        assert_eq!(count("kairos.cluster.placement.fallbacks"), 1);
+    }
+
+    /// Every probe records its own pipeline time into its shard's
+    /// `probe.ns` histogram, inline (one shard) and on the pool (two):
+    /// nonzero on the wall phase clock, zero on the deterministic one,
+    /// with the same sample counts either way.
+    #[test]
+    fn probe_histograms_record_each_probes_pipeline_time() {
+        let apps: Vec<Application> = (0..4)
+            .map(|i| chain(&format!("p{i}"), 2, 600))
+            .chain([chain("hopeless", 1, 100_000)])
+            .collect();
+        let samples = |shards: usize, deterministic: bool| {
+            let telemetry = Telemetry::new(TelemetryConfig::default());
+            let mut cluster = ClusterBuilder::new(topology::crisp(), shards)
+                .deterministic(deterministic)
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap();
+            cluster.probe_admit_wave(&apps);
+            cluster.probe_admit(&apps[0]);
+            (0..shards)
+                .map(|i| {
+                    let name = format!("kairos.cluster.shard{i}.probe.ns");
+                    telemetry.histogram(&name, DURATION_NS_BOUNDS).unwrap().snapshot()
+                })
+                .collect::<Vec<_>>()
+        };
+        for shards in [1, 2] {
+            let (wall, zero) = (samples(shards, false), samples(shards, true));
+            for (wall, zero) in wall.iter().zip(&zero) {
+                assert_eq!(wall.count, apps.len() as u64 + 1, "one sample per probe");
+                assert!(wall.min > 0, "every wall-clock probe took time: {wall:?}");
+                assert_eq!(zero.count, wall.count);
+                assert_eq!((zero.sum, zero.max), (0, 0), "the zero clock records zeros");
+            }
+        }
+    }
+
+    /// A request at its terminal event leaves no ticket mapping behind:
+    /// thousands of admit/release/preempt cycles — single and batched,
+    /// with migrations, defrags, faults and repairs in between — through
+    /// `Shutdown` leave every shard's map empty.
+    #[test]
+    fn retired_requests_leave_no_per_request_state() {
+        let policy = AdmitPolicy {
+            class_capacity: [4, 4, 4, 4],
+            preemption: kairos_admitd::PreemptionPolicy::Evict,
+            ..AdmitPolicy::default()
+        };
+        let mut cluster = ClusterBuilder::new(topology::crisp(), 2)
+            .deterministic(true)
+            .admission(policy)
+            .build()
+            .unwrap();
+        let mut live: Vec<AppId> = Vec::new();
+        let mut preempted = 0;
+        for i in 0..2_000u64 {
+            let class = if i % 5 == 4 { PriorityClass::Critical } else { PriorityClass::Low };
+            let tasks = 1 + i as usize % 3;
+            let admit = || Request::admit(i, chain(&format!("a{i}"), tasks, 600), class);
+            if i % 3 == 0 {
+                cluster.submit_batch(vec![admit(), admit()]);
+            } else {
+                cluster.submit(admit());
+            }
+            if i % 2 == 1 && !live.is_empty() {
+                let app = live.remove(0);
+                cluster.submit(Request::new(i, Command::Release { app }));
+            }
+            if i % 40 == 0 {
+                if let Some(&app) = live.last() {
+                    cluster.submit(Request::new(i, Command::Migrate { app, avoid: Vec::new() }));
+                }
+                cluster.submit(Request::new(i, Command::Defrag { max_moves: 2 }));
+                let element = ElementId((i / 40 % 40) as u32);
+                cluster.submit(Request::new(i, Command::InjectFault { element }));
+                cluster.submit(Request::new(i, Command::Repair { element }));
+            }
+            for event in cluster.take_events() {
+                match event {
+                    Event::Admitted { report, .. } => live.push(report.app_id),
+                    Event::Preempted { victim, .. } => {
+                        preempted += 1;
+                        live.retain(|&app| app != victim);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        cluster.pump(CapacityEvent::Shutdown { now: 2_000 });
+        assert!(preempted > 0, "the run must exercise preemption requeues");
+        for shard in &cluster.shards {
+            assert!(shard.tickets.is_empty(), "{} mappings left", shard.tickets.len());
+        }
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! Per-shard probe-timing histograms are recorded inside the workers;
 //! that stays byte-deterministic because histogram recording is commutative
-//! (see the cluster metrics docs) and under the deterministic zero clock
-//! every recorded duration is `0`.
+//! (see the cluster metrics docs) and under the deterministic zero phase
+//! clock every recorded duration is `0`.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -23,9 +23,9 @@ use std::thread::JoinHandle;
 
 use kairos_app::Application;
 use kairos_svc::KairosService;
-use kairos_telemetry::{Histogram, Telemetry};
+use kairos_telemetry::Histogram;
 
-use crate::cluster::fit_of;
+use crate::cluster::probe_shard;
 use crate::policy::ShardFit;
 
 /// How a [`ClusterService`](crate::ClusterService) fans admission probes
@@ -69,34 +69,21 @@ impl std::fmt::Debug for ProbePool {
 
 impl ProbePool {
     /// Spawns one worker per shard. Each worker holds its shard's
-    /// probe-latency histogram handle (when telemetry is lit) and a clone
-    /// of the telemetry hub for its clock, so timings are recorded where
-    /// the work happens.
-    pub(crate) fn new(
-        shards: usize,
-        telemetry: &Telemetry,
-        probe_ns: Option<&[Arc<Histogram>]>,
-    ) -> Self {
+    /// probe-latency histogram handle (when telemetry is lit), so timings
+    /// are recorded where the work happens.
+    pub(crate) fn new(shards: usize, probe_ns: Option<&[Arc<Histogram>]>) -> Self {
         let workers = (0..shards)
             .map(|i| {
                 let (jobs, job_rx) = channel::<Job>();
                 let (done_tx, done) = channel::<Done>();
                 let hist = probe_ns.map(|h| h[i].clone());
-                let telemetry = telemetry.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("kairos-probe-{i}"))
                     .spawn(move || {
                         while let Ok((mut service, apps)) = job_rx.recv() {
                             let fits: Vec<Option<ShardFit>> = apps
                                 .iter()
-                                .map(|app| {
-                                    let start = telemetry.clock();
-                                    let fit = fit_of(service.probe_admit(app).ok());
-                                    if let Some(hist) = &hist {
-                                        hist.record(Telemetry::elapsed_ns(start));
-                                    }
-                                    fit
-                                })
+                                .map(|app| probe_shard(&mut service, app, hist.as_deref()))
                                 .collect();
                             if done_tx.send((service, fits)).is_err() {
                                 break;

@@ -219,6 +219,9 @@ pub struct AdmissionProbe {
     /// `admitted_apps` count does *not* include the probed application —
     /// a probe admits nothing).
     pub after: OccupancySnapshot,
+    /// Time the probe's pipeline spent per phase (all zero on the zero
+    /// clock and on an operating-point cache hit).
+    pub timings: PhaseTimings,
 }
 
 /// A point-in-time image of a manager's complete admission state
@@ -333,6 +336,51 @@ impl CoreMetrics {
 /// (over five centuries — only reachable through clock misbehaviour).
 fn duration_ns(elapsed: std::time::Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The phase timer of one pipeline run: every phase runs under its span
+/// on the manager's [`PhaseClock`], and its duration lands in `timings`
+/// and the `kairos.core.phase.*.ns` histogram.
+struct TimedPhases<'a> {
+    clock: PhaseClock,
+    timings: &'a mut PhaseTimings,
+    ctx: TraceContext,
+    now: u64,
+}
+
+impl TimedPhases<'_> {
+    /// Runs `phase` as `f`, timing it. With `ctx` set it also records a
+    /// zero-width `phase.*` child span at tick `now` (the pipeline takes
+    /// no virtual time), annotated with the phase's outcome.
+    fn run<T, E>(
+        &mut self,
+        kairos: &mut Kairos,
+        phase: Phase,
+        f: impl FnOnce(&mut Kairos) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let name = match phase {
+            Phase::Binding => "phase.binding",
+            Phase::Mapping => "phase.mapping",
+            Phase::Routing => "phase.routing",
+            Phase::Validation => "phase.validation",
+        };
+        let start = self.clock.start();
+        let result = {
+            let _span = kairos.telemetry.span("kairos_core", name);
+            f(kairos)
+        };
+        let elapsed = start.elapsed();
+        self.timings.set(phase, elapsed);
+        if let Some(m) = &kairos.metrics {
+            m.phase_ns[phase as usize].record(duration_ns(elapsed));
+        }
+        if self.ctx.is_some() {
+            let outcome = if result.is_ok() { "ok" } else { "rejected" };
+            let args = [("outcome", outcome.to_owned())];
+            kairos.telemetry.trace_child(self.ctx, name, self.now, self.now, &args);
+        }
+        result
+    }
 }
 
 /// The freshly admitted application's per-element claims in final
@@ -627,7 +675,7 @@ impl Kairos {
         // coordinator synthesizes probe spans after the join).
         let result = self.place(app, scratch, &mut timings, TraceContext::NONE, 0);
         let probe = match result {
-            Ok((layout, _)) => Ok(AdmissionProbe { layout, after: self.occupancy() }),
+            Ok((layout, _)) => Ok(AdmissionProbe { layout, after: self.occupancy(), timings }),
             Err(error) => Err(AdmissionFailure { error, timings }),
         };
         self.txn_rollback();
@@ -816,26 +864,6 @@ impl Kairos {
         }
     }
 
-    /// The timing source of the pipeline: the wall clock, or the zero
-    /// clock under [`KairosConfig::deterministic`].
-    fn phase_clock(&self) -> PhaseClock {
-        if self.config.deterministic {
-            PhaseClock::zero()
-        } else {
-            PhaseClock::wall()
-        }
-    }
-
-    /// Records one `phase.*` child span of `ctx` at tick `now` — zero
-    /// width (the pipeline takes no virtual time), annotated with the
-    /// phase's outcome. Free when tracing is off or `ctx` is absent.
-    fn trace_phase(&self, ctx: TraceContext, now: u64, name: &str, ok: bool) {
-        if ctx.is_some() {
-            let outcome = if ok { "ok" } else { "rejected" };
-            self.telemetry.trace_child(ctx, name, now, now, &[("outcome", outcome.to_owned())]);
-        }
-    }
-
     fn run_phases(
         &mut self,
         app: &Application,
@@ -844,66 +872,21 @@ impl Kairos {
         ctx: TraceContext,
         now: u64,
     ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
-        let clock = self.phase_clock();
-
-        // Phase 1: binding.
-        let start = clock.start();
-        let binding = {
-            let _span = self.telemetry.span("kairos_core", "phase.binding");
-            bind(app, &self.platform)
-        };
-        let elapsed = start.elapsed();
-        timings.set(Phase::Binding, elapsed);
-        if let Some(m) = &self.metrics {
-            m.phase_ns[0].record(duration_ns(elapsed));
-        }
-        self.trace_phase(ctx, now, "phase.binding", binding.is_ok());
-        let binding = binding?;
-
-        // Phase 2: mapping (claims element resources).
-        let start = clock.start();
-        let mapping = {
-            let _span = self.telemetry.span("kairos_core", "phase.mapping");
-            map_application(app, &binding, &mut self.platform, app_id, &self.config.mapper())
-        };
-        let elapsed = start.elapsed();
-        timings.set(Phase::Mapping, elapsed);
-        if let Some(m) = &self.metrics {
-            m.phase_ns[1].record(duration_ns(elapsed));
-        }
-        self.trace_phase(ctx, now, "phase.mapping", mapping.is_ok());
-        let mapping = mapping?;
-
-        // Phase 3: routing (claims link resources).
-        let start = clock.start();
-        let routes = {
-            let _span = self.telemetry.span("kairos_core", "phase.routing");
-            route_channels(app, &mapping.placement, &mut self.platform, self.config.route_algorithm)
-        };
-        let elapsed = start.elapsed();
-        timings.set(Phase::Routing, elapsed);
-        if let Some(m) = &self.metrics {
-            m.phase_ns[2].record(duration_ns(elapsed));
-        }
-        self.trace_phase(ctx, now, "phase.routing", routes.is_ok());
-        let routes = routes?;
-
+        // The pipeline's one clock: zero under `KairosConfig::deterministic`.
+        let clock = if self.config.deterministic { PhaseClock::zero() } else { PhaseClock::wall() };
+        let mut timed = TimedPhases { clock, timings, ctx, now };
+        let binding = timed.run(self, Phase::Binding, |k| bind(app, &k.platform))?;
+        // Mapping claims element resources, routing claims link resources.
+        let mapping = timed.run(self, Phase::Mapping, |k| {
+            map_application(app, &binding, &mut k.platform, app_id, &k.config.mapper())
+        })?;
+        let routes = timed.run(self, Phase::Routing, |k| {
+            route_channels(app, &mapping.placement, &mut k.platform, k.config.route_algorithm)
+        })?;
         let layout = ExecutionLayout { binding, placement: mapping.placement, routes };
-
-        // Phase 4: validation.
         let validation = if self.config.validate {
-            let start = clock.start();
-            let report = {
-                let _span = self.telemetry.span("kairos_core", "phase.validation");
-                validate(app, &layout, &self.config.validation)
-            };
-            let elapsed = start.elapsed();
-            timings.set(Phase::Validation, elapsed);
-            if let Some(m) = &self.metrics {
-                m.phase_ns[3].record(duration_ns(elapsed));
-            }
-            self.trace_phase(ctx, now, "phase.validation", report.is_ok());
-            Some(report?)
+            let config = self.config.validation;
+            Some(timed.run(self, Phase::Validation, |_| validate(app, &layout, &config))?)
         } else {
             None
         };
@@ -1419,6 +1402,16 @@ mod tests {
         let mut full = Kairos::new(topology::dsp_mesh(2, 2), config);
         let failure = full.admit(&chain("big", 5, 1000, 100)).unwrap_err();
         assert_eq!(failure.timings, PhaseTimings::default());
+        let probe = kairos.probe_admit(&chain("p", 2, 500, 100)).unwrap();
+        assert_eq!(probe.timings, PhaseTimings::default());
+    }
+
+    #[test]
+    fn probes_report_their_pipeline_time_on_the_wall_clock() {
+        let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+        let probe = kairos.probe_admit(&chain("p", 2, 500, 100)).unwrap();
+        assert!(probe.timings.total() > std::time::Duration::ZERO);
+        assert!(probe.timings.validation > std::time::Duration::ZERO, "every phase ran");
     }
 
     #[test]

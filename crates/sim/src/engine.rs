@@ -346,10 +346,10 @@ impl Simulator {
         // in both directions: reports must be pure functions of the
         // scenario, and `Scenario::cache` is part of the scenario.
         config.cache = scenario.cache.then(CacheConfig::default);
-        // One telemetry hub for the whole stack. The engine's forced
-        // deterministic clock keeps the hub's default zero-duration mode:
-        // every instrument below the service boundary records pure
-        // op-sequence functions, so enabling telemetry cannot perturb a
+        // One telemetry hub for the whole stack. The hub has no clock;
+        // its durations come from the engine's forced zero phase clock,
+        // so every instrument below the service boundary records pure
+        // op-sequence functions and enabling telemetry cannot perturb a
         // report beyond adding its snapshot section.
         let telemetry = if scenario.telemetry || scenario.trace {
             Telemetry::new(TelemetryConfig {

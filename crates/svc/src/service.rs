@@ -195,9 +195,10 @@ pub struct KairosService {
     /// front-end-minted tickets (preemption requeues) numbered at the
     /// instant their first event is translated.
     next_ticket: u64,
-    /// Front-end ticket → service ticket, for the queued backend. Grows
-    /// with the run; entries are never removed because a ticket may be
-    /// referenced by later events (a requeued victim's admission).
+    /// Front-end ticket → service ticket, for the queued backend's
+    /// admissions (preemption requeues included) until their outcome:
+    /// an entry is dropped at its ticket's `Admitted`/`Rejected`, the
+    /// last event naming it.
     tickets: BTreeMap<u64, Ticket>,
     /// Events accumulated since the last [`ResourceService::take_events`].
     events: Vec<Event>,
@@ -280,6 +281,14 @@ impl KairosService {
         ticket
     }
 
+    /// [`Self::service_ticket`] at the ticket's admission outcome: the
+    /// mapping ends here.
+    fn retire_ticket(&mut self, queue_ticket: QueueTicket) -> Ticket {
+        let ticket = self.service_ticket(queue_ticket);
+        self.tickets.remove(&queue_ticket.0);
+        ticket
+    }
+
     /// Translates a front-end event batch into unified service events.
     fn translate(&mut self, queue_events: Vec<QueueEvent>) -> Vec<Event> {
         queue_events
@@ -290,7 +299,7 @@ impl KairosService {
                 }
                 QueueEvent::Admitted { ticket, class, app, report, waited, attempts } => {
                     Event::Admitted {
-                        ticket: self.service_ticket(ticket),
+                        ticket: self.retire_ticket(ticket),
                         class,
                         app,
                         report,
@@ -307,7 +316,7 @@ impl KairosService {
                     }
                 }
                 QueueEvent::Rejected { ticket, class, reason, waited } => Event::Rejected {
-                    ticket: self.service_ticket(ticket),
+                    ticket: self.retire_ticket(ticket),
                     class,
                     cause: reason.into(),
                     waited,
@@ -686,5 +695,85 @@ impl ResourceService for KairosService {
             Backend::Direct(_) => 0,
             Backend::Queued(admitd) => admitd.queue_depth(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use kairos_admitd::{AdmitPolicy, PreemptionPolicy};
+    use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
+    use kairos_platform::{topology, ElementId, ElementKind, ResourceVector};
+
+    use super::*;
+    use crate::ServiceBuilder;
+
+    fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
+        let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 50, 1);
+        let mut b = ApplicationBuilder::new(name);
+        let mut prev = None;
+        for i in 0..tasks {
+            let t = b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp]);
+            if let Some(p) = prev {
+                b.add_channel(p, t, 10, 1);
+            }
+            prev = Some(t);
+        }
+        b.build().unwrap()
+    }
+
+    /// A request at its admission outcome leaves no front-end ticket
+    /// mapping behind: thousands of admit/release/preempt cycles —
+    /// single and batched, with migrations, defrags, faults and repairs
+    /// in between — through `Shutdown` leave the map empty.
+    #[test]
+    fn retired_requests_leave_no_per_request_state() {
+        let policy = AdmitPolicy {
+            class_capacity: [4, 4, 4, 4],
+            preemption: PreemptionPolicy::Evict,
+            ..AdmitPolicy::default()
+        };
+        let mut service = ServiceBuilder::new(topology::crisp())
+            .deterministic(true)
+            .admission(policy)
+            .build()
+            .unwrap();
+        let mut live: Vec<AppId> = Vec::new();
+        let mut preempted = 0;
+        for i in 0..2_000u64 {
+            let class = if i % 5 == 4 { PriorityClass::Critical } else { PriorityClass::Low };
+            let tasks = 1 + i as usize % 3;
+            let admit = || Request::admit(i, chain(&format!("a{i}"), tasks, 600), class);
+            if i % 3 == 0 {
+                service.submit_batch(vec![admit(), admit()]);
+            } else {
+                service.submit(admit());
+            }
+            if i % 2 == 1 && !live.is_empty() {
+                let app = live.remove(0);
+                service.submit(Request::new(i, Command::Release { app }));
+            }
+            if i % 40 == 0 {
+                if let Some(&app) = live.last() {
+                    service.submit(Request::new(i, Command::Migrate { app, avoid: Vec::new() }));
+                }
+                service.submit(Request::new(i, Command::Defrag { max_moves: 2 }));
+                let element = ElementId((i / 40 % 40) as u32);
+                service.submit(Request::new(i, Command::InjectFault { element }));
+                service.submit(Request::new(i, Command::Repair { element }));
+            }
+            for event in service.take_events() {
+                match event {
+                    Event::Admitted { report, .. } => live.push(report.app_id),
+                    Event::Preempted { victim, .. } => {
+                        preempted += 1;
+                        live.retain(|&app| app != victim);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        service.pump(CapacityEvent::Shutdown { now: 2_000 });
+        assert!(preempted > 0, "the run must exercise preemption requeues");
+        assert!(service.tickets.is_empty(), "{} mappings left", service.tickets.len());
     }
 }

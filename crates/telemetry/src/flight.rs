@@ -4,7 +4,41 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
-use tracing::Level;
+/// The severity of a [`TraceEvent`]. Ordered like the upstream `tracing`
+/// crate's level: [`Level::ERROR`] is the minimum and [`Level::TRACE`]
+/// the maximum, so filters read naturally as `level <= max_level`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Level(u8);
+
+impl Level {
+    /// Very serious errors.
+    pub const ERROR: Level = Level(0);
+    /// Hazardous situations.
+    pub const WARN: Level = Level(1);
+    /// Useful information.
+    pub const INFO: Level = Level(2);
+    /// Lower-priority information (span enter/exit).
+    pub const DEBUG: Level = Level(3);
+    /// Very low-priority, verbose information.
+    pub const TRACE: Level = Level(4);
+
+    /// The level's canonical upper-case name.
+    pub fn as_str(&self) -> &'static str {
+        ["ERROR", "WARN", "INFO", "DEBUG", "TRACE"][usize::from(self.0)]
+    }
+}
+
+impl fmt::Display for Level {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Level {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// One recorded trace event: a span boundary or a point event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +160,15 @@ mod tests {
         assert!(recorder.is_empty());
         recorder.record(Level::WARN, "test", "after".into());
         assert_eq!(recorder.dump()[0].seq, 1, "sequence numbers keep counting across clears");
+    }
+
+    #[test]
+    fn levels_order_from_error_to_trace_and_display_their_names() {
+        let levels = [Level::ERROR, Level::WARN, Level::INFO, Level::DEBUG, Level::TRACE];
+        assert!(levels.windows(2).all(|pair| pair[0] < pair[1]), "{levels:?}");
+        let names: Vec<String> = levels.iter().map(Level::to_string).collect();
+        assert_eq!(names, ["ERROR", "WARN", "INFO", "DEBUG", "TRACE"]);
+        assert_eq!(format!("{:?}", Level::INFO), "INFO");
     }
 
     #[test]

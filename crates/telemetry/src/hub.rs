@@ -1,25 +1,18 @@
 //! The [`Telemetry`] handle every instrumented layer holds.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-use tracing::Level;
-
-use crate::flight::{FlightRecorder, TraceEvent};
+use crate::flight::{FlightRecorder, Level, TraceEvent};
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::registry::{Registry, Snapshot};
 use crate::trace::{SpanRecord, TraceContext, TraceSink};
 
-/// Construction knobs for a [`Telemetry`] hub.
+/// Construction knobs for a [`Telemetry`] hub. The hub keeps no clock
+/// of its own: every duration it records was measured by the pipeline's
+/// `PhaseClock` (`kairos_core::KairosConfig::deterministic`), so a
+/// deterministic stack records zero durations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Whether span durations are measured on the wall clock. `false`
-    /// (the default) is the deterministic mode: every recorded duration
-    /// is zero, so snapshots are a pure function of the operation
-    /// sequence — the telemetry analogue of the zero `PhaseClock`.
-    pub wall_clock: bool,
     /// Events each flight recorder retains before overwriting the oldest.
     pub flight_capacity: usize,
     /// Whether request-scoped causal tracing is on: roots are minted per
@@ -32,21 +25,20 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { wall_clock: false, flight_capacity: 256, tracing: false }
+        TelemetryConfig { flight_capacity: 256, tracing: false }
     }
 }
 
 #[derive(Debug)]
 pub(crate) struct Inner {
-    config: TelemetryConfig,
     registry: Arc<Registry>,
     recorder: FlightRecorder,
     tracer: Option<Arc<TraceSink>>,
 }
 
 /// The one observability handle the whole stack shares: a metrics
-/// [`Registry`], a [`FlightRecorder`] and the determinism configuration,
-/// behind a cheap-clone `Arc`.
+/// [`Registry`], a [`FlightRecorder`] and an optional trace sink, behind
+/// a cheap-clone `Arc`.
 ///
 /// A disabled handle ([`Telemetry::disabled`], also the [`Default`]) is a
 /// `None` and makes every operation a no-op branch, so instrumented hot
@@ -73,7 +65,6 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                config,
                 registry: Arc::new(Registry::new()),
                 recorder: FlightRecorder::new("main", config.flight_capacity),
                 tracer: config.tracing.then(|| Arc::new(TraceSink::default())),
@@ -81,7 +72,7 @@ impl Telemetry {
         }
     }
 
-    /// A handle sharing this hub's registry, trace sink and configuration
+    /// A handle sharing this hub's registry, trace sink and flight capacity
     /// but owning its own flight recorder labelled `label`. Disabled
     /// handles derive disabled children.
     pub fn child(&self, label: &str) -> Telemetry {
@@ -89,9 +80,8 @@ impl Telemetry {
             None => Telemetry::disabled(),
             Some(inner) => Telemetry {
                 inner: Some(Arc::new(Inner {
-                    config: inner.config,
                     registry: inner.registry.clone(),
-                    recorder: FlightRecorder::new(label, inner.config.flight_capacity),
+                    recorder: FlightRecorder::new(label, inner.recorder.capacity()),
                     tracer: inner.tracer.clone(),
                 })),
             },
@@ -102,12 +92,6 @@ impl Telemetry {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether span durations are measured on the wall clock (`false`
-    /// when disabled).
-    pub fn wall_clock(&self) -> bool {
-        self.inner.as_ref().is_some_and(|inner| inner.config.wall_clock)
     }
 
     /// The shared registry, when enabled.
@@ -128,24 +112,6 @@ impl Telemetry {
     /// The histogram registered under `name`, when enabled.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Option<Arc<Histogram>> {
         self.registry().map(|r| r.histogram(name, bounds))
-    }
-
-    /// Starts a duration measurement: `Some(now)` only when enabled *and*
-    /// in wall-clock mode. Feed the result to [`Telemetry::elapsed_ns`].
-    #[inline]
-    pub fn clock(&self) -> Option<Instant> {
-        if self.wall_clock() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// The nanoseconds since [`Telemetry::clock`] — `0` in deterministic
-    /// mode, keeping recorded durations byte-stable.
-    #[inline]
-    pub fn elapsed_ns(start: Option<Instant>) -> u64 {
-        start.map_or(0, |s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 
     /// Records one point event into this handle's flight recorder.
@@ -247,26 +213,6 @@ impl Telemetry {
     pub fn chrome_trace(&self) -> String {
         crate::trace::chrome_trace(&self.trace_dump())
     }
-
-    /// A [`tracing::Dispatch`] feeding this hub: spans and events emitted
-    /// through the `tracing` macros land in this handle's flight recorder
-    /// and count under the `kairos.tracing.events` / `.spans` metrics.
-    /// Install it with `tracing::dispatcher::with_default` (scoped) or
-    /// `set_global_default`. Disabled handles yield a discarding
-    /// dispatch.
-    pub fn dispatch(&self) -> tracing::Dispatch {
-        match &self.inner {
-            None => tracing::Dispatch::none(),
-            Some(inner) => tracing::Dispatch::new(TelemetrySubscriber {
-                inner: inner.clone(),
-                events: inner.registry.counter("kairos.tracing.events"),
-                spans: inner.registry.counter("kairos.tracing.spans"),
-                open_spans: inner.registry.gauge("kairos.tracing.open_spans"),
-                next_id: AtomicU64::new(0),
-                names: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
 }
 
 /// An open [`Telemetry::span`]; records the matching exit event on drop.
@@ -285,81 +231,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The bridge from the `tracing` macro surface into a [`Telemetry`] hub.
-///
-/// The `names` map holds one refcounted entry per *live* span handle:
-/// `new_span` inserts at refcount one, `clone_span` increments, and
-/// `try_close` decrements and evicts the entry when the last handle
-/// drops — so long runs never grow the map without bound. The
-/// `kairos.tracing.open_spans` gauge tracks the live entry count.
-struct TelemetrySubscriber {
-    inner: Arc<Inner>,
-    events: Arc<Counter>,
-    spans: Arc<Counter>,
-    open_spans: Arc<Gauge>,
-    next_id: AtomicU64,
-    names: Mutex<BTreeMap<u64, (String, u64)>>,
-}
-
-impl tracing::Subscriber for TelemetrySubscriber {
-    fn enabled(&self, _metadata: &tracing::Metadata<'_>) -> bool {
-        true
-    }
-
-    fn new_span(&self, metadata: &tracing::Metadata<'_>) -> tracing::span::Id {
-        self.spans.inc();
-        self.open_spans.add(1);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.names.lock().expect("span names lock").insert(id, (metadata.name().to_owned(), 1));
-        tracing::span::Id::from_u64(id)
-    }
-
-    fn event(&self, event: &tracing::Event<'_>) {
-        self.events.inc();
-        let metadata = event.metadata();
-        self.inner.recorder.record(
-            *metadata.level(),
-            metadata.target(),
-            event.message().to_string(),
-        );
-    }
-
-    fn enter(&self, span: &tracing::span::Id) {
-        let names = self.names.lock().expect("span names lock");
-        if let Some((name, _)) = names.get(&span.into_u64()) {
-            self.inner.recorder.record(Level::DEBUG, "tracing", format!("enter {name}"));
-        }
-    }
-
-    fn exit(&self, span: &tracing::span::Id) {
-        let names = self.names.lock().expect("span names lock");
-        if let Some((name, _)) = names.get(&span.into_u64()) {
-            self.inner.recorder.record(Level::DEBUG, "tracing", format!("exit {name}"));
-        }
-    }
-
-    fn clone_span(&self, span: &tracing::span::Id) -> tracing::span::Id {
-        let mut names = self.names.lock().expect("span names lock");
-        if let Some((_, refs)) = names.get_mut(&span.into_u64()) {
-            *refs += 1;
-        }
-        span.clone()
-    }
-
-    fn try_close(&self, span: tracing::span::Id) -> bool {
-        let mut names = self.names.lock().expect("span names lock");
-        let id = span.into_u64();
-        let Some((_, refs)) = names.get_mut(&id) else { return false };
-        *refs -= 1;
-        if *refs > 0 {
-            return false;
-        }
-        names.remove(&id);
-        self.open_spans.add(-1);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,10 +239,7 @@ mod tests {
     fn disabled_handles_do_nothing() {
         let t = Telemetry::disabled();
         assert!(!t.enabled());
-        assert!(!t.wall_clock());
         assert!(t.counter("x").is_none());
-        assert!(t.clock().is_none());
-        assert_eq!(Telemetry::elapsed_ns(None), 0);
         t.event(Level::ERROR, "test", "ignored".into());
         drop(t.span("test", "noop"));
         assert!(t.snapshot().is_empty());
@@ -404,16 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_records_zero_durations() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        assert!(t.clock().is_none());
-        assert_eq!(Telemetry::elapsed_ns(t.clock()), 0);
-        let wall =
-            Telemetry::new(TelemetryConfig { wall_clock: true, ..TelemetryConfig::default() });
-        assert!(wall.clock().is_some());
-    }
-
-    #[test]
     fn tracing_is_off_by_default_and_contexts_degrade_to_none() {
         let t = Telemetry::new(TelemetryConfig::default());
         assert!(!t.tracing());
@@ -439,40 +297,5 @@ mod tests {
         assert_eq!(spans.len(), 2, "the child's span lands in the parent's sink");
         assert_eq!(spans[1].name, "probe.shard0");
         assert_eq!(spans[0].end, 7);
-    }
-
-    #[test]
-    fn subscriber_evicts_span_names_when_the_last_handle_closes() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let dispatch = t.dispatch();
-        tracing::dispatcher::with_default(&dispatch, || {
-            for _ in 0..100 {
-                let span = tracing::info_span!("wave");
-                let clone = span.clone();
-                drop(span);
-                assert_eq!(
-                    t.gauge("kairos.tracing.open_spans").unwrap().get(),
-                    1,
-                    "a live clone keeps the name entry alive"
-                );
-                drop(clone);
-                assert_eq!(t.gauge("kairos.tracing.open_spans").unwrap().get(), 0);
-            }
-        });
-        assert_eq!(t.counter("kairos.tracing.spans").unwrap().get(), 100);
-    }
-
-    #[test]
-    fn dispatch_bridges_tracing_macros_into_the_hub() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let dispatch = t.dispatch();
-        tracing::dispatcher::with_default(&dispatch, || {
-            let span = tracing::info_span!("wave");
-            span.in_scope(|| tracing::warn!("queue {} full", "low"));
-        });
-        let messages: Vec<_> = t.flight_dump().into_iter().map(|event| event.message).collect();
-        assert_eq!(messages, vec!["enter wave", "queue low full", "exit wave"]);
-        assert_eq!(t.counter("kairos.tracing.events").unwrap().get(), 1);
-        assert_eq!(t.counter("kairos.tracing.spans").unwrap().get(), 1);
     }
 }

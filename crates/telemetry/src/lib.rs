@@ -1,8 +1,8 @@
 //! # kairos-telemetry
 //!
-//! The unified observability layer of the Kairos workspace: structured
-//! tracing, an atomic metrics registry and a bounded flight recorder
-//! behind one cheap-clone [`Telemetry`] handle.
+//! The unified observability layer of the Kairos workspace: spans and
+//! events, request traces, an atomic metrics registry and a bounded
+//! flight recorder behind one cheap-clone [`Telemetry`] handle.
 //!
 //! The paper's evaluation measures the run-time cost of every allocation
 //! phase; before this crate that signal existed only as diagnostic-only
@@ -17,11 +17,9 @@
 //!   that renders as a Prometheus text exposition
 //!   ([`Snapshot::render_text`]) or embeds as byte-stable JSON in the sim
 //!   report.
-//! * **Tracing** — spans ([`Telemetry::span`]) and typed events
-//!   ([`Telemetry::event`]) over the minimal `tracing`-compatible facade
-//!   under `shims/tracing`; [`Telemetry::dispatch`] bridges the upstream
-//!   macro surface (`tracing::info!`, `tracing::info_span!`) into the
-//!   same hub.
+//! * **Spans and events** — scoped spans ([`Telemetry::span`]) and
+//!   levelled point events ([`Telemetry::event`], severity [`Level`])
+//!   recorded into the handle's flight recorder.
 //! * **Flight recorder** — a bounded ring of recent [`TraceEvent`]s per
 //!   shard ([`FlightRecorder`]), cheap enough to leave always-on and
 //!   dumped post-mortem on admission failures, rollbacks or aborted
@@ -44,11 +42,11 @@
 //!    branches on a recorded value, so enabled-vs-disabled runs make
 //!    identical decisions (the observer-effect property test pins the
 //!    resulting reports byte-identical).
-//! 2. In the default deterministic mode
-//!    ([`TelemetryConfig::wall_clock`] `= false`, the analogue of the
-//!    zero `PhaseClock`) every recorded duration is `0`, so duration
-//!    histograms — counts, sums, min/max — are a pure function of the
-//!    operation sequence.
+//! 2. The hub has no clock. Every duration it records was measured by
+//!    the pipeline's `PhaseClock`, so under
+//!    `KairosConfig::deterministic` (the zero clock) every recorded
+//!    duration is `0` and duration histograms — counts, sums, min/max —
+//!    are a pure function of the operation sequence.
 //! 3. Snapshots iterate the registry in name order and hold only
 //!    integers; rendering is byte-stable for identical runs even under
 //!    the cluster's probe parallelism, because shared counters only ever
@@ -66,8 +64,7 @@
 //! ## Example
 //!
 //! ```
-//! use kairos_telemetry::{Telemetry, TelemetryConfig};
-//! use tracing::Level;
+//! use kairos_telemetry::{Level, Telemetry, TelemetryConfig};
 //!
 //! let telemetry = Telemetry::new(TelemetryConfig::default());
 //! let admissions = telemetry.counter("kairos.example.admissions").unwrap();
@@ -75,7 +72,7 @@
 //!
 //! let span = telemetry.span("example", "admit");
 //! admissions.inc();
-//! latency.record(Telemetry::elapsed_ns(telemetry.clock())); // 0 when deterministic
+//! latency.record(0); // a duration the caller measured, in ns
 //! drop(span);
 //! telemetry.event(Level::INFO, "example", "admitted app 0".into());
 //!
@@ -92,12 +89,8 @@ mod metric;
 mod registry;
 mod trace;
 
-pub use flight::{FlightRecorder, TraceEvent};
+pub use flight::{FlightRecorder, Level, TraceEvent};
 pub use hub::{SpanGuard, Telemetry, TelemetryConfig};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use trace::{chrome_trace, summarize, SpanRecord, TraceContext, TraceSummary, ROOT_PARENT};
-
-// Re-export the facade level type so instrumented crates can emit events
-// without a direct `tracing` dependency.
-pub use tracing::Level;

@@ -7,7 +7,7 @@
 //! cargo run --release --example telemetry
 //! ```
 //!
-//! Output is deterministic (zero telemetry clock, seeded scenario) — run
+//! Output is deterministic (zero phase clock, seeded scenario) — run
 //! it twice and diff. See `docs/OBSERVABILITY.md` for the full metric
 //! catalogue and the determinism rules this example demonstrates.
 
@@ -52,8 +52,9 @@ fn main() {
     }
 
     // 2. Per-shard probe latency: each admission fans out as one what-if
-    // probe per shard, timed into that shard's histogram. Under the
-    // deterministic zero clock every duration is 0 ns, so the counts are
+    // probe per shard, whose pipeline time lands in that shard's
+    // histogram. Under the deterministic zero phase clock every duration
+    // is 0 ns, so the counts are
     // the signal — and they are byte-reproducible run to run.
     println!("-- probe fan-out, per shard --");
     for metric in &snapshot.metrics {

@@ -49,14 +49,15 @@
 //!   arrivals (lone or in batched waves), departures and element faults,
 //!   with or without the admission queue;
 //! * [`telemetry`] — the unified observability layer (see
-//!   `docs/OBSERVABILITY.md`): structured tracing spans and events over a
-//!   minimal `tracing`-compatible shim, a registry of named counters,
-//!   gauges and fixed-bucket latency histograms with atomic hot-path
-//!   recording and deterministic snapshot/render (Prometheus-style text
-//!   exposition, byte-stable JSON embedding in sim reports), and bounded
-//!   per-shard flight recorders dumpable after failures. Disabled by
-//!   default everywhere; a disabled handle costs one pointer test per
-//!   instrumentation site and records nothing;
+//!   `docs/OBSERVABILITY.md`): spans and levelled events, request traces,
+//!   a registry of named counters, gauges and fixed-bucket latency
+//!   histograms with atomic hot-path recording and deterministic
+//!   snapshot/render (Prometheus-style text exposition, byte-stable JSON
+//!   embedding in sim reports), and bounded per-shard flight recorders
+//!   dumpable after failures. It keeps no clock: recorded durations come
+//!   from the pipeline's `PhaseClock`. Disabled by default everywhere; a
+//!   disabled handle costs one pointer test per instrumentation site and
+//!   records nothing;
 //! * [`watch`] — energy/power accounting and deterministic health
 //!   alerting: an `EnergyMeter` integrating periodic element-activity
 //!   observations against per-class busy/idle power rates into
